@@ -176,6 +176,9 @@ def cmd_replay(args):
     if env.feature_dim(task) != spec.input_dim:
         _fail(f"task {task.id!r} produces {env.feature_dim(task)} features "
               f"but the checkpoint policy expects {spec.input_dim}")
+    if args.task is not None and artifacts.task_digest(task_list) != doc["task_digest"]:
+        _fail(f"{args.tasks} is not the task list checkpoint {args.checkpoint} "
+              f"was trained on (task digests differ)")
 
     res = rollout(doc["theta"], task, env, spec, t_max, t_goal,
                   record=True, mirror=args.mirror)

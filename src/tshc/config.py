@@ -296,7 +296,7 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
                           "is not supported)")
 
     policy_doc = doc["policy"]
-    _check_keys(policy_doc, {"layer_sizes", "init_std"}, {"layer_sizes"}, "policy")
+    _check_keys(policy_doc, {"layer_sizes"}, {"layer_sizes"}, "policy")
     try:
         spec = MlpSpec(tuple(policy_doc["layer_sizes"]))
     except (TypeError, ValueError) as exc:

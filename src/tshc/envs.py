@@ -10,7 +10,7 @@ matter how candidates are grouped into batches.
 import numpy as np
 
 from . import dynamics, reward, tasks
-from .dynamics import ActuatorLimits, PendulumParams, VehicleParams, VehicleState, wrap_angle
+from .dynamics import ActuatorLimits, PendulumParams, VehicleParams, wrap_angle
 from .policy import affine_scale, control_intervals
 from .reward import VvcConfig
 
@@ -19,7 +19,6 @@ class VehicleEnv:
     kind = tasks.VEHICLE
     control_dim = 2
     csv_columns = ("t", "x", "y", "psi", "v", "delta")
-    state_keys = ("x", "y", "psi", "v_prev", "delta_prev")
 
     def __init__(self, params: VehicleParams = VehicleParams(),
                  limits: ActuatorLimits = ActuatorLimits(),
@@ -38,10 +37,6 @@ class VehicleEnv:
         return {"x": np.full(n, x0), "y": np.full(n, y0),
                 "psi": np.full(n, float(wrap_angle(psi0))),
                 "v_prev": np.full(n, v0), "delta_prev": np.zeros(n)}
-
-    def initial_state(self, task) -> VehicleState:
-        x0, y0, psi0, v0 = task.z0
-        return VehicleState(x0, y0, float(wrap_angle(psi0)), v0, 0.0, 0)
 
     def goal_mask(self, S, task):
         e_d, e_psi, e_v = reward.goal_errors(S["x"], S["y"], S["psi"],
@@ -90,7 +85,6 @@ class PendulumEnv:
     kind = tasks.PENDULUM
     control_dim = 1
     csv_columns = ("t", "p", "p_dot", "theta", "theta_dot", "force")
-    state_keys = ("p", "p_dot", "theta", "theta_dot")
 
     def __init__(self, params: PendulumParams = PendulumParams(),
                  norm: tasks.PendulumNorm = tasks.PendulumNorm()):

@@ -3,10 +3,13 @@ per-task rollouts, candidate selection, perturbation-scale adaptation and
 the greedy parameter move.
 
 All candidates of one iteration are evaluated in lockstep with batched
-numpy; every batch lane is independent, so splitting the fan-out across
-worker processes cannot change the result.  Candidate noise is derived
-from a counter-based sub-seed (seed, restart, iteration, candidate),
-which makes runs reproducible for any worker count.
+numpy.  A lane that reaches its goal, crashes or goes non-finite is
+dropped from the working arrays at once, so later steps compute only the
+live lanes.  Every batch lane is independent, so neither dropping lanes
+nor splitting the fan-out across worker processes changes a bit: results
+are identical for any batch size and worker count.  Candidate noise is
+derived from a counter-based sub-seed (seed, restart, iteration,
+candidate), which makes runs reproducible for any worker count.
 """
 
 import time
@@ -16,7 +19,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import tasks as tasklib
-from .policy import MlpSpec, forward_layers, init_params, param_count, unflatten
+from .policy import MlpSpec, forward_layers, init_params, unflatten
 
 SIGMA_CONSTANT = "constant"
 SIGMA_RANDOM_RESTART = "random-per-restart"
@@ -108,8 +111,9 @@ def batch_rollout(thetas, spec: MlpSpec, task, env, t_max, t_goal,
     """Simulate one task for a batch of parameter vectors in lockstep.
 
     Returns (success, pathlength, reward, crashed, steps, trajectory,
-    terminal states dict).  ``record`` collects the lane-0 trajectory and
-    requires a batch of one.
+    terminal states dict), each per lane over the whole batch.  A lane's
+    terminal state is where it reached its goal run, crashed or timed out.
+    ``record`` collects the lane-0 trajectory and requires a batch of one.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
@@ -117,15 +121,31 @@ def batch_rollout(thetas, spec: MlpSpec, task, env, t_max, t_goal,
         raise ValueError("trajectory recording needs a batch of one")
     layers = unflatten(thetas, spec)
     S = env.init_arrays(task, n)
+    terminal = {k: np.empty(n) for k in S}
+    # the working arrays (S, layers, last_raw, run) hold the live lanes
+    # only; ``live`` maps them to their batch rows
+    live = np.arange(n)
     last_raw = np.zeros(n)
     run = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
     success = np.zeros(n, dtype=np.int64)
     P = np.zeros(n)
     J = np.zeros(n)
     crashed = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=np.int64)
     trajectory = [] if record else None
+
+    def retire(gone):
+        nonlocal live, S, layers, last_raw, run
+        rows = live[gone]
+        for k, v in S.items():
+            terminal[k][rows] = v[gone]
+        keep = ~gone
+        live = live[keep]
+        S = {k: v[keep] for k, v in S.items()}
+        layers = [(w[keep], b[keep]) for w, b in layers]
+        last_raw = last_raw[keep]
+        run = run[keep]
+
     for t in range(t_max):
         goal = env.goal_mask(S, task)
         run = np.where(goal, run + 1, 0)
@@ -133,13 +153,14 @@ def batch_rollout(thetas, spec: MlpSpec, task, env, t_max, t_goal,
             r_now = -1.0
         else:
             r_now = env.rich_values(S, task, rich_weights)
-        done = active & (run >= t_goal)
+        # every live lane collects this step's reward, a lane that reaches
+        # its goal run here included
+        J[live] += r_now
+        done = run >= t_goal
         if done.any():
-            # the success-step reward is collected before the break
-            J = np.where(done, J + r_now, J)
-            success = np.where(done, 1, success)
-            active &= ~done
-            if not active.any():
+            success[live[done]] = 1
+            retire(done)
+            if not live.size:
                 break
         feats = env.features_arrays(S, task, last_raw)
         if mirror:
@@ -148,22 +169,23 @@ def batch_rollout(thetas, spec: MlpSpec, task, env, t_max, t_goal,
         if mirror:
             raw = tasklib.mirror_control(raw)
         S_next, controls, dp, crash = env.apply_arrays(S, raw, task)
-        P = np.where(active, P + dp, P)
-        J = np.where(active, J + r_now, J)
-        crashed |= active & crash
-        steps = np.where(active, t + 1, steps)
-        if record and bool(active[0]):
+        P[live] += dp
+        crashed[live] = crash
+        steps[live] = t + 1
+        if record:
             # pose before the step plus the control applied when leaving it
             state_part = env.terminal_state(S, 0)[:5 - env.control_dim]
             trajectory.append((t,) + state_part
                               + tuple(float(c) for c in np.atleast_2d(controls)[0]))
-        for k in S:
-            S[k] = np.where(active, S_next[k], S[k])
-        last_raw = np.where(active, raw[..., -1], last_raw)
-        active &= ~crash
-        if not active.any():
-            break
-    return success, P, J, crashed, steps, trajectory, S
+        S = S_next
+        last_raw = raw[..., -1]
+        if crash.any():
+            retire(crash)
+            if not live.size:
+                break
+    for k, v in S.items():  # lanes that timed out
+        terminal[k][live] = v
+    return success, P, J, crashed, steps, trajectory, terminal
 
 
 def rollout(theta, task, env, spec: MlpSpec, t_max, t_goal=1,

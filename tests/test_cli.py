@@ -118,6 +118,25 @@ def test_replay_feature_dim_mismatch_names_both(tmp_path, capsys):
     assert "5" in message and "4" in message
 
 
+def test_replay_refuses_task_file_that_does_not_match_checkpoint(tmp_path, capsys):
+    grid_yaml = TRIVIAL_YAML.replace("[4, 8, 2]", "[5, 8, 2]").replace(
+        "  generator: freeform\n  z0: [0, 0, 0, 0]\n  z_goal: [0, 0, 0, 0]\n",
+        "  generator: heading-grid\n  step_deg: 10\n  max_deg: 20\n")
+    _, out = train(tmp_path, grid_yaml)
+    ckpt = str(out / "checkpoint_seed3.json")
+    tasks = artifacts.read_task_list(out / "tasks_seed3.json")
+    assert main(["replay", ckpt, "--task", "heading10",
+                 "--tasks", str(out / "tasks_seed3.json"),
+                 "--output-dir", str(out)]) == 0
+    reordered = tmp_path / "reordered.json"
+    artifacts.write_task_list(reordered, tasks[::-1])
+    with pytest.raises(SystemExit) as err:
+        main(["replay", ckpt, "--task", "heading10", "--tasks", str(reordered),
+              "--output-dir", str(out)])
+    assert err.value.code == 2
+    assert "task digests differ" in capsys.readouterr().err
+
+
 def test_plot_from_csv_and_checkpoint(tmp_path):
     _, out = train(tmp_path, TRIVIAL_YAML)
     main(["replay", str(out / "checkpoint_seed3.json"),

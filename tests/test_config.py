@@ -1,5 +1,7 @@
 import math
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,22 @@ def test_unknown_keys_are_errors(tmp_path):
                                "  sampling_time: 0.1\n  colour: red")
     with pytest.raises(ConfigError, match="colour"):
         load_run_config(write(tmp_path, bad))
+
+
+def test_policy_init_std_is_rejected(tmp_path):
+    # the initial scale is fixed; a key that would be ignored is an error
+    bad = VEHICLE_YAML.replace("  layer_sizes: [4, 64, 64, 2]",
+                               "  layer_sizes: [4, 64, 64, 2]\n  init_std: 0.1")
+    with pytest.raises(ConfigError, match="policy.init_std"):
+        load_run_config(write(tmp_path, bad))
+
+
+def test_readme_yaml_blocks_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for text in blocks:
+        load_run_config(write(tmp_path, text))
 
 
 def test_seed_must_be_integer(tmp_path):

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from tshc.dynamics import PendulumParams, VehicleParams
 from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.policy import MlpSpec, init_params, param_count, perturb
-from tshc.tasks import freeform_task, heading_grid, mirror_task, pendulum_tasks
+from tshc.reward import Tolerances
+from tshc.tasks import (GOAL5, PENDULUM, PENDULUM4, Task, freeform_task,
+                        heading_grid, mirror_task, pendulum_tasks)
 from tshc.trainer import (BestSolution, CandidateScore, TshcConfig, adapt_sigma,
                           batch_rollout, candidate_theta, draw_sigma,
                           evaluate_batch, evaluate_candidate, rollout,
@@ -111,6 +114,69 @@ def test_batch_rollout_matches_scalar_rollouts():
         ri = rollout(thetas[i], task, env, SPEC4, 40)
         assert (ri.success, ri.pathlength, ri.reward, ri.crashed, ri.steps) == \
             (s[i], p[i], j[i], c[i], steps[i])
+
+
+def _finish_kind(success, crashed, steps):
+    if success:
+        return "goal at t=0" if steps == 0 else "goal run"
+    return "crash" if crashed else "timeout"
+
+
+def _on_track(env, S):
+    if env.kind == "pendulum":
+        return abs(S["p"][0]) <= env.params.p_limit
+    xmin, ymin, xmax, ymax = env.params.workspace
+    return xmin <= S["x"][0] <= xmax and ymin <= S["y"][0] <= ymax
+
+
+def test_batch_rollout_compaction_is_lane_exact():
+    # lanes of one batch reach their goal, crash and time out at different
+    # steps, so finished lanes are dropped while others keep running; every
+    # lane must match a batch of one bit for bit, terminal state included
+    vehicle = VehicleEnv(VehicleParams(Ts=0.1, workspace=(-2.0, -2.0, 3.0, 2.0)))
+    pendulum = PendulumEnv(PendulumParams(p_limit=0.5))
+    vtol = Tolerances(0.5, 3.0, 3.0)
+    cases = [
+        (vehicle, freeform_task((0, 0, 0, 0), (0.3, 0, 0, 0), vtol), 14),
+        (vehicle, freeform_task((0, 0, 0, 0), (1.0, 0, 0, 0), vtol), 14),
+        (vehicle, freeform_task((0, 0, 0, 0), (1.0, 0, 0, 0), vtol, GOAL5), 14),
+        (pendulum, pendulum_tasks("stabilize")[0], 60),
+        (pendulum, Task("tilted", PENDULUM, (0, 0, 0.4, 0), (0, 0, 0, 0),
+                        Tolerances(1.0, 0.2, 1.0), PENDULUM4), 60),
+    ]
+    rng = np.random.default_rng(2)
+    scales = np.geomspace(0.01, 3.0, 16)[:, None]
+    kinds = set()
+    mixed = 0
+    for env, task, t_max in cases:
+        spec = MlpSpec((env.feature_dim(task), 6, env.control_dim))
+        thetas = rng.normal(0.0, 1.0, (16, param_count(spec))) * scales
+        for rich in (None, (1.0, 2.0, 0.5, 0.1)):
+            for t_goal in (1, 3):
+                for mirror in ((False, True) if env.kind == "vehicle" else (False,)):
+                    out = batch_rollout(thetas, spec, task, env, t_max, t_goal,
+                                        rich_weights=rich, mirror=mirror)
+                    batch_kinds = set()
+                    for i in range(len(thetas)):
+                        one = batch_rollout(thetas[i:i + 1], spec, task, env, t_max,
+                                            t_goal, rich_weights=rich, mirror=mirror)
+                        for a, b in zip(out[:5], one[:5]):
+                            assert a[i:i + 1].tobytes() == b.tobytes()
+                        assert out[6].keys() == one[6].keys()
+                        for k in one[6]:
+                            assert out[6][k][i:i + 1].tobytes() == one[6][k].tobytes()
+                        kind = _finish_kind(out[0][i], out[3][i], out[4][i])
+                        # a lane stops where it met its goal or left the track
+                        end = {k: v[i:i + 1] for k, v in out[6].items()}
+                        if kind.startswith("goal"):
+                            assert env.goal_mask(end, task)[0]
+                        elif kind == "crash":
+                            assert not _on_track(env, end)
+                        batch_kinds.add(kind)
+                    kinds |= batch_kinds
+                    mixed += len(batch_kinds) >= 3
+    assert kinds == {"goal at t=0", "goal run", "crash", "timeout"}
+    assert mixed >= 8
 
 
 def test_batch_rollout_record_requires_single_lane():
