@@ -2,15 +2,13 @@
 small neural-network controllers without gradients."""
 
 from .dynamics import (ActuatorLimits, Control, PendulumParams, PendulumState,
-                       VehicleParams, VehicleState, clamp_controls, crash_check,
-                       step_bicycle, step_pendulum, wrap_angle)
-from .policy import MlpSpec, forward, init_params, param_count, perturb, scale_outputs
-from .reward import (Reward, Tolerances, VvcConfig, goal_flag, pathlength_delta,
-                     rich_reward, sparse_reward, success_integral, vvc_bounds)
-from .tasks import (GoalTuple, Task, feature_vector, heading_grid, mirror_control,
-                    mirror_task, nearest_goal_lookup, pendulum_tasks)
+                       VehicleParams, VehicleState, clamp_controls, step_bicycle,
+                       step_pendulum, wrap_angle)
+from .policy import MlpSpec, init_params, param_count
+from .reward import Reward, Tolerances, VvcConfig, sparse_reward, vvc_bounds
+from .tasks import (GoalTuple, Task, heading_grid, mirror_control, mirror_task,
+                    nearest_goal_lookup, pendulum_tasks)
 from .trainer import (BestSolution, CandidateScore, RolloutResult, TshcConfig,
-                      adapt_sigma, draw_sigma, evaluate_candidate, rollout,
-                      select_best, tshc_run)
+                      adapt_sigma, draw_sigma, rollout, select_best, tshc_run)
 
 __version__ = "0.1.0"

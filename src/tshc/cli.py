@@ -131,10 +131,10 @@ def _slug(text):
 def cmd_replay(args):
     try:
         doc = artifacts.read_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
+        env = env_from_config(doc["env"], doc["normalization"])
+    except (OSError, ValueError) as exc:  # ConfigError included
         _fail(exc)
     spec = MlpSpec(tuple(doc["layer_sizes"]))
-    env = env_from_config(doc["env"], doc["normalization"])
     replay_meta = doc.get("replay", {})
     t_max = int(replay_meta.get("t_max", 1000))
     t_goal = int(replay_meta.get("t_goal", 1))
@@ -142,7 +142,10 @@ def cmd_replay(args):
     if args.task is not None:
         if args.tasks is None:
             _fail("--task needs --tasks FILE")
-        task_list = artifacts.read_task_list(args.tasks)
+        try:
+            task_list = artifacts.read_task_list(args.tasks)
+        except (OSError, ValueError) as exc:
+            _fail(exc)
         matches = [t for t in task_list if t.id == args.task]
         if not matches:
             _fail(f"task {args.task!r} not found in {args.tasks}")
@@ -163,10 +166,11 @@ def cmd_replay(args):
         tup = tasklib.nearest_goal_lookup(lookup_point, store)
         goal = tasklib.mirror_goal(tup.z_goal) if args.mirror else tup.z_goal
         tol = replay_meta.get("tolerances", {})
+        default = tasklib.DEFAULT_VEHICLE_TOL
         task = tasklib.Task(
             "setpoint", tasklib.VEHICLE, (0.0, 0.0, 0.0, 0.0), goal,
-            Tolerances(tol.get("d", 0.25), tol.get("psi", 0.0175),
-                       tol.get("v", 5 / 3.6)),
+            Tolerances(tol.get("d", default.eps_d), tol.get("psi", default.eps_psi),
+                       tol.get("v", default.eps_v)),
             replay_meta.get("feature_recipe", tasklib.GOAL5))
         tag = "setpoint"
 
@@ -206,10 +210,13 @@ def cmd_plot(args):
         try:
             doc = artifacts.read_checkpoint(args.checkpoint)
             task_list = artifacts.read_task_list(args.tasks)
-        except (OSError, ValueError) as exc:
+            env = env_from_config(doc["env"], doc["normalization"])
+        except (OSError, ValueError) as exc:  # ConfigError included
             _fail(exc)
+        if artifacts.task_digest(task_list) != doc["task_digest"]:
+            _fail(f"{args.tasks} is not the task list checkpoint {args.checkpoint} "
+                  f"was trained on (task digests differ)")
         spec = MlpSpec(tuple(doc["layer_sizes"]))
-        env = env_from_config(doc["env"], doc["normalization"])
         replay_meta = doc.get("replay", {})
         for task in task_list:
             res = rollout(doc["theta"], task, env, spec,

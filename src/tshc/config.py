@@ -113,6 +113,14 @@ class RunConfig:
     env_config: dict  # raw SI values embedded into checkpoints
 
 
+def _norm(norm_doc, cls, kinds):
+    """Normalization dataclass from its section, whose keys are the fields."""
+    _check_keys(norm_doc, set(kinds), set(), "normalization")
+    d = cls()
+    return cls(**{k: parse_quantity(norm_doc.get(k, getattr(d, k)), kind,
+                                    f"normalization.{k}") for k, kind in kinds.items()})
+
+
 def _build_vehicle_env(doc, vvc_doc, norm_doc):
     _check_keys(doc, {"kind", "wheelbase", "sampling_time", "workspace",
                       "obstacles", "limits"}, {"kind"}, "env")
@@ -129,7 +137,8 @@ def _build_vehicle_env(doc, vvc_doc, norm_doc):
                (defaults.deltadot_min, defaults.deltadot_max))
     limits = ActuatorLimits(v[0], v[1], vr[0], vr[1], st[0], st[1], sr[0], sr[1])
 
-    workspace = doc.get("workspace", list(VehicleParams().workspace))
+    pd = VehicleParams()
+    workspace = doc.get("workspace", list(pd.workspace))
     if not isinstance(workspace, (list, tuple)) or len(workspace) != 4:
         raise ConfigError("env.workspace: expected [xmin, ymin, xmax, ymax]")
     obstacles = doc.get("obstacles", [])
@@ -137,8 +146,8 @@ def _build_vehicle_env(doc, vvc_doc, norm_doc):
         if not isinstance(ob, (list, tuple)) or len(ob) != 4:
             raise ConfigError(f"env.obstacles[{i}]: expected [xmin, ymin, xmax, ymax]")
     params = VehicleParams(
-        l_f=parse_quantity(doc.get("wheelbase", 3.5), "length", "env.wheelbase"),
-        Ts=parse_quantity(doc.get("sampling_time", 0.01), "time", "env.sampling_time"),
+        l_f=parse_quantity(doc.get("wheelbase", pd.l_f), "length", "env.wheelbase"),
+        Ts=parse_quantity(doc.get("sampling_time", pd.Ts), "time", "env.sampling_time"),
         workspace=tuple(float(v) for v in workspace),
         obstacles=tuple(tuple(float(v) for v in ob) for ob in obstacles))
 
@@ -154,13 +163,8 @@ def _build_vehicle_env(doc, vvc_doc, norm_doc):
     except ValueError as exc:
         raise ConfigError(f"vvc: {exc}") from None
 
-    _check_keys(norm_doc, {"dx", "dy", "dpsi", "dv"}, set(), "normalization")
-    nd = tasklib.VehicleNorm()
-    norm = tasklib.VehicleNorm(
-        dx=parse_quantity(norm_doc.get("dx", nd.dx), "length", "normalization.dx"),
-        dy=parse_quantity(norm_doc.get("dy", nd.dy), "length", "normalization.dy"),
-        dpsi=parse_quantity(norm_doc.get("dpsi", nd.dpsi), "angle", "normalization.dpsi"),
-        dv=parse_quantity(norm_doc.get("dv", nd.dv), "speed", "normalization.dv"))
+    norm = _norm(norm_doc, tasklib.VehicleNorm,
+                 {"dx": "length", "dy": "length", "dpsi": "angle", "dv": "speed"})
 
     env = VehicleEnv(params, limits, vvc, norm)
     env_config = {
@@ -193,17 +197,9 @@ def _build_pendulum_env(doc, norm_doc):
         Ts=parse_quantity(doc.get("sampling_time", d.Ts), "time", "env.sampling_time"),
         p_limit=parse_quantity(doc.get("track_limit", d.p_limit), "length",
                                "env.track_limit"))
-    _check_keys(norm_doc, {"dp", "dp_dot", "dtheta", "dtheta_dot"}, set(),
-                "normalization")
-    nd = tasklib.PendulumNorm()
-    norm = tasklib.PendulumNorm(
-        dp=parse_quantity(norm_doc.get("dp", nd.dp), "length", "normalization.dp"),
-        dp_dot=parse_quantity(norm_doc.get("dp_dot", nd.dp_dot), "speed",
-                              "normalization.dp_dot"),
-        dtheta=parse_quantity(norm_doc.get("dtheta", nd.dtheta), "angle",
-                              "normalization.dtheta"),
-        dtheta_dot=parse_quantity(norm_doc.get("dtheta_dot", nd.dtheta_dot),
-                                  "angrate", "normalization.dtheta_dot"))
+    norm = _norm(norm_doc, tasklib.PendulumNorm,
+                 {"dp": "length", "dp_dot": "speed", "dtheta": "angle",
+                  "dtheta_dot": "angrate"})
     env = PendulumEnv(params, norm)
     env_config = {
         "kind": "pendulum",
@@ -213,6 +209,20 @@ def _build_pendulum_env(doc, norm_doc):
         "track_limit": params.p_limit,
     }
     return env, norm, env_config
+
+
+def _build_env(doc):
+    """(env, norm, SI env dict) from the env, vvc and normalization sections."""
+    env_doc = _require_mapping(doc["env"], "env")
+    kind = env_doc.get("kind")
+    norm_doc = doc.get("normalization", {})
+    if kind == "vehicle":
+        return _build_vehicle_env(env_doc, doc.get("vvc", {}), norm_doc)
+    if kind == "pendulum":
+        if "vvc" in doc:
+            raise ConfigError("vvc: velocity constraints apply to vehicle runs only")
+        return _build_pendulum_env(env_doc, norm_doc)
+    raise ConfigError(f"env.kind: expected 'vehicle' or 'pendulum', got {kind!r}")
 
 
 def _build_tasks(doc, env_kind):
@@ -255,6 +265,7 @@ def _build_training(doc, seed, workers):
                       "t_goal", "sigma_mode", "sigma_min", "sigma_max", "beta",
                       "refine", "rich_weights"},
                 {"n_restarts", "n_iter_max", "n_candidates", "t_max"}, "training")
+    d = TshcConfig  # the class attributes hold the field defaults
     rich = doc.get("rich_weights")
     if rich is not None:
         if not isinstance(rich, (list, tuple)) or len(rich) != 4:
@@ -266,14 +277,14 @@ def _build_training(doc, seed, workers):
             n_iter_max=int(doc["n_iter_max"]),
             n_candidates=int(doc["n_candidates"]),
             t_max=int(doc["t_max"]),
-            t_goal=int(doc.get("t_goal", 1)),
-            beta=float(doc.get("beta", 2.0)),
-            sigma_min=parse_quantity(doc.get("sigma_min", 0.01), "plain",
+            t_goal=int(doc.get("t_goal", d.t_goal)),
+            beta=float(doc.get("beta", d.beta)),
+            sigma_min=parse_quantity(doc.get("sigma_min", d.sigma_min), "plain",
                                      "training.sigma_min"),
-            sigma_max=parse_quantity(doc.get("sigma_max", 10.0), "plain",
+            sigma_max=parse_quantity(doc.get("sigma_max", d.sigma_max), "plain",
                                      "training.sigma_max"),
-            sigma_mode=doc.get("sigma_mode", "adaptive"),
-            refine=bool(doc.get("refine", False)),
+            sigma_mode=doc.get("sigma_mode", d.sigma_mode),
+            refine=bool(doc.get("refine", d.refine)),
             seed=seed,
             workers=workers,
             rich_weights=rich)
@@ -302,20 +313,8 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"policy.layer_sizes: {exc}") from None
 
-    env_doc = _require_mapping(doc["env"], "env")
-    kind = env_doc.get("kind")
-    norm_doc = doc.get("normalization", {})
-    if kind == "vehicle":
-        env, norm, env_config = _build_vehicle_env(env_doc, doc.get("vvc", {}),
-                                                   norm_doc)
-    elif kind == "pendulum":
-        if "vvc" in doc:
-            raise ConfigError("vvc: velocity constraints apply to vehicle runs only")
-        env, norm, env_config = _build_pendulum_env(env_doc, norm_doc)
-    else:
-        raise ConfigError(f"env.kind: expected 'vehicle' or 'pendulum', got {kind!r}")
-
-    task_list = _build_tasks(_require_mapping(doc["tasks"], "tasks"), kind)
+    env, norm, env_config = _build_env(doc)
+    task_list = _build_tasks(_require_mapping(doc["tasks"], "tasks"), env.kind)
 
     if workers is None:
         workers = doc.get("workers", os.cpu_count() or 1)
@@ -331,25 +330,10 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
 
 
 def env_from_config(env_config, normalization=None):
-    """Rebuild an environment from the dicts embedded in a checkpoint."""
-    if env_config["kind"] == "vehicle":
-        lim = env_config["limits"]
-        vvc = env_config["vvc"]
-        norm = (tasklib.VehicleNorm(**normalization) if normalization
-                else tasklib.VehicleNorm())
-        return VehicleEnv(
-            VehicleParams(env_config["wheelbase"], env_config["sampling_time"],
-                          tuple(env_config["workspace"]),
-                          tuple(tuple(o) for o in env_config["obstacles"])),
-            ActuatorLimits(lim["v"][0], lim["v"][1], lim["v_rate"][0],
-                           lim["v_rate"][1], lim["steer"][0], lim["steer"][1],
-                           lim["steer_rate"][0], lim["steer_rate"][1]),
-            VvcConfig(vvc["mode"], vvc["r_thresh"], vvc["margin"]),
-            norm)
-    norm = (tasklib.PendulumNorm(**normalization) if normalization
-            else tasklib.PendulumNorm())
-    return PendulumEnv(PendulumParams(
-        env_config["cart_mass"], env_config["pole_mass"],
-        env_config["pole_half_length"], env_config["gravity"],
-        env_config["force_max"], env_config["sampling_time"],
-        env_config["track_limit"]), norm)
+    """Rebuild a checkpoint's environment: its env dict is the SI form of a
+    config's env section, vvc section inside, and is parsed the same way."""
+    env_doc = dict(_require_mapping(env_config, "env"))
+    doc = {"env": env_doc, "normalization": normalization or {}}
+    if "vvc" in env_doc:
+        doc["vvc"] = env_doc.pop("vvc")
+    return _build_env(doc)[0]

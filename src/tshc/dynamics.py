@@ -1,8 +1,8 @@
 """Deterministic discrete-time simulators: kinematic bicycle and cart-pole.
 
-All stepping functions are pure and accept plain floats or numpy arrays
-interchangeably, so the same code serves single replays and batched
-candidate evaluation.
+The ``*_arrays`` kernels work elementwise on numpy arrays and serve every
+rollout, batched or a one-lane replay; the single-state wrappers over them
+(``step_bicycle``, ``step_pendulum``, ``clamp_controls``) serve test oracles.
 """
 
 import math
@@ -156,10 +156,6 @@ def crash_check_arrays(x, y, params: VehicleParams):
     for oxmin, oymin, oxmax, oymax in params.obstacles:
         out = out | ((x >= oxmin) & (x <= oxmax) & (y >= oymin) & (y <= oymax))
     return out
-
-
-def crash_check(s: VehicleState, p: VehicleParams) -> int:
-    return int(crash_check_arrays(s.x, s.y, p))
 
 
 def pendulum_accelerations(theta, theta_dot, force, params: PendulumParams):

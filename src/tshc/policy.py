@@ -2,14 +2,14 @@
 
 The canonical flat ordering is layer by layer: the weight matrix in
 row-major order, then the bias vector.  No autograd; parameters are only
-ever sampled, perturbed and evaluated.
+ever sampled, perturbed (``trainer.candidate_theta``) and evaluated.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ActuatorLimits, Control, intersect_interval, rate_limited_interval
+from .dynamics import ActuatorLimits, intersect_interval, rate_limited_interval
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,6 @@ def init_params(spec: MlpSpec, rng: np.random.Generator, std: float = 0.001) -> 
     return rng.normal(0.0, std, size=param_count(spec))
 
 
-def perturb(theta: np.ndarray, sigma_pert: float, rng: np.random.Generator) -> np.ndarray:
-    if sigma_pert < 0.0:
-        raise ValueError("sigma_pert must be non-negative")
-    return theta + sigma_pert * rng.standard_normal(theta.shape[-1])
-
-
 def unflatten(theta: np.ndarray, spec: MlpSpec):
     """Views of the flat vector as (W, b) pairs.
 
@@ -70,14 +64,6 @@ def unflatten(theta: np.ndarray, spec: MlpSpec):
     return layers
 
 
-def flatten(layers) -> np.ndarray:
-    parts = []
-    for w, b in layers:
-        parts.append(np.asarray(w).reshape(-1))
-        parts.append(np.asarray(b).reshape(-1))
-    return np.concatenate(parts)
-
-
 def forward_layers(layers, s):
     """Tanh MLP evaluation from unflattened layers.
 
@@ -87,16 +73,6 @@ def forward_layers(layers, s):
     for w, b in layers:
         x = np.tanh(np.matmul(w, x[..., None])[..., 0] + b)
     return x
-
-
-def forward(theta: np.ndarray, spec: MlpSpec, s_norm) -> np.ndarray:
-    s = np.asarray(s_norm, dtype=float)
-    if s.shape[-1] != spec.input_dim:
-        raise ValueError(f"feature vector has length {s.shape[-1]}, "
-                         f"spec {spec.layer_sizes} expects {spec.input_dim}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("feature vector must be finite")
-    return forward_layers(unflatten(theta, spec), s)
 
 
 def control_intervals(prev_v, prev_delta, lim: ActuatorLimits, Ts,
@@ -116,9 +92,3 @@ def affine_scale(raw, lo, hi):
     u = (raw + 1.0) * 0.5
     return lo * (1.0 - u) + hi * u
 
-
-def scale_outputs(raw, prev: Control, lim: ActuatorLimits, vvc_box, Ts) -> Control:
-    """Affinely scale the network output into the admissible control box."""
-    (v_lo, v_hi), (d_lo, d_hi) = control_intervals(prev.v, prev.delta, lim, Ts, vvc_box)
-    return Control(float(affine_scale(raw[0], v_lo, v_hi)),
-                   float(affine_scale(raw[1], d_lo, d_hi)))

@@ -1,6 +1,5 @@
-"""Sparse-reward machinery: goal flag, per-step reward, success integral,
-pathlength score, virtual velocity constraints and the optional rich
-squared-error reward.
+"""Sparse-reward machinery: goal tolerances and errors, the per-step
+sparse reward and virtual velocity constraints.
 
 Crashes are represented by a dedicated flag carried next to the finite
 score, never by an IEEE infinity, so comparisons stay total and files
@@ -58,29 +57,8 @@ def goal_errors(x, y, psi, v, goal):
     return e_d, e_psi, e_v
 
 
-def goal_flag(state, goal, tol: Tolerances) -> int:
-    """1 iff all three errors are strictly below tolerance (vehicle states)."""
-    e_d, e_psi, e_v = goal_errors(state.x, state.y, state.psi, state.v_prev, goal)
-    return int((e_d < tol.eps_d) and (e_psi < tol.eps_psi) and (e_v < tol.eps_v))
-
-
 def sparse_reward(crash_flag) -> Reward:
     return Reward(-1.0, bool(crash_flag))
-
-
-def success_integral(goal_flag_history, t_goal: int) -> int:
-    """1 iff the last t_goal flags exist and are all 1."""
-    if t_goal < 1:
-        raise ValueError("t_goal must be >= 1")
-    flags = list(goal_flag_history)
-    if len(flags) < t_goal:
-        return 0
-    return int(all(f == 1 for f in flags[-t_goal:]))
-
-
-def pathlength_delta(state_t, state_t1) -> float:
-    """Negative Euclidean step length between consecutive poses."""
-    return -float(np.hypot(state_t1.x - state_t.x, state_t1.y - state_t.y))
 
 
 def vvc_bounds(e_d, v_goal, v_min, v_max, cfg: VvcConfig):
@@ -108,12 +86,3 @@ def vvc_bounds(e_d, v_goal, v_min, v_max, cfg: VvcConfig):
     far = e_d >= cfg.r_thresh
     return np.where(far, v_min, lo_in), np.where(far, v_max, hi_in)
 
-
-def rich_reward(state_vec, ref_vec, weights, crash_flag) -> Reward:
-    """Negated weighted sum of squared errors between state and reference."""
-    z = np.asarray(state_vec, dtype=float)
-    ref = np.asarray(ref_vec, dtype=float)
-    alpha = np.asarray(weights, dtype=float)
-    if np.any(alpha < 0.0):
-        raise ValueError("rich-reward weights must be non-negative")
-    return Reward(-float(np.sum(alpha * (z - ref) ** 2)), bool(crash_flag))

@@ -95,18 +95,6 @@ def pendulum_features(p, p_dot, theta, theta_dot, norm: PendulumNorm):
     return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
 
-def feature_vector(state, task: Task, last_raw_steer: float = 0.0,
-                   norm=None) -> np.ndarray:
-    """Feature vector for a single state; recipe chosen by the task."""
-    if task.env_kind == VEHICLE:
-        norm = norm or VehicleNorm()
-        return np.asarray(vehicle_features(state.x, state.y, state.psi, state.v_prev,
-                                           task, norm, last_raw_steer), dtype=float)
-    norm = norm or PendulumNorm()
-    return np.asarray(pendulum_features(state.p, state.p_dot, state.theta,
-                                        state.theta_dot, norm), dtype=float)
-
-
 def mirror_features(features, recipe: str):
     """Reflect vehicle features about the x-axis: negate the y and heading
     differences and, for the 5-feature recipe, the previous raw steering."""
@@ -134,10 +122,7 @@ def mirror_task(task: Task) -> Task:
     """The x-axis reflection of a vehicle task."""
     if task.env_kind != VEHICLE:
         raise ValueError("mirroring applies to vehicle tasks only")
-    x0, y0, psi0, v0 = task.z0
-    return replace(task,
-                   id=task.id + "~mirror",
-                   z0=(x0, -y0, float(wrap_angle(-psi0)), v0),
+    return replace(task, id=task.id + "~mirror", z0=mirror_goal(task.z0),
                    z_goal=mirror_goal(task.z_goal))
 
 

@@ -228,12 +228,6 @@ def evaluate_batch(thetas, task_list, env, spec, t_max, t_goal,
                            bool(crashed[i])) for i in range(n)]
 
 
-def evaluate_candidate(theta, task_list, env, spec, t_max, t_goal=1,
-                       rich_weights=None) -> CandidateScore:
-    return evaluate_batch(theta, task_list, env, spec, t_max, t_goal,
-                          rich_weights=rich_weights)[0]
-
-
 def _subseed(seed, *key):
     return np.random.SeedSequence(entropy=seed, spawn_key=key)
 

@@ -4,8 +4,9 @@ import textwrap
 
 import pytest
 
-from tshc import artifacts
+from tshc import artifacts, cli
 from tshc.cli import main
+from tshc.tasks import DEFAULT_VEHICLE_TOL
 
 TRIVIAL_YAML = """
 seed: 3
@@ -26,6 +27,10 @@ training:
 
 HARD_YAML = TRIVIAL_YAML.replace("z_goal: [0, 0, 0, 0]",
                                  "z_goal: [90, 0, 0, 0]")
+
+GRID_YAML = TRIVIAL_YAML.replace("[4, 8, 2]", "[5, 8, 2]").replace(
+    "  generator: freeform\n  z0: [0, 0, 0, 0]\n  z_goal: [0, 0, 0, 0]\n",
+    "  generator: heading-grid\n  step_deg: 10\n  max_deg: 20\n")
 
 
 def write_config(tmp_path, text, name="run.yaml"):
@@ -119,10 +124,7 @@ def test_replay_feature_dim_mismatch_names_both(tmp_path, capsys):
 
 
 def test_replay_refuses_task_file_that_does_not_match_checkpoint(tmp_path, capsys):
-    grid_yaml = TRIVIAL_YAML.replace("[4, 8, 2]", "[5, 8, 2]").replace(
-        "  generator: freeform\n  z0: [0, 0, 0, 0]\n  z_goal: [0, 0, 0, 0]\n",
-        "  generator: heading-grid\n  step_deg: 10\n  max_deg: 20\n")
-    _, out = train(tmp_path, grid_yaml)
+    _, out = train(tmp_path, GRID_YAML)
     ckpt = str(out / "checkpoint_seed3.json")
     tasks = artifacts.read_task_list(out / "tasks_seed3.json")
     assert main(["replay", ckpt, "--task", "heading10",
@@ -155,6 +157,73 @@ def test_plot_from_csv_and_checkpoint(tmp_path):
                  "-o", str(svg_path)])
     assert code == 0
     assert svg_path.read_text().count("<polyline") == 1
+
+
+def test_plot_refuses_task_file_that_does_not_match_checkpoint(tmp_path, capsys):
+    _, out = train(tmp_path, GRID_YAML)
+    ckpt = str(out / "checkpoint_seed3.json")
+    reversed_tasks = tmp_path / "reversed.json"
+    artifacts.write_task_list(
+        reversed_tasks, artifacts.read_task_list(out / "tasks_seed3.json")[::-1])
+    svg_path = tmp_path / "p.svg"
+    with pytest.raises(SystemExit) as err:
+        main(["plot", "--checkpoint", ckpt, "--tasks", str(reversed_tasks),
+              "-o", str(svg_path)])
+    assert err.value.code == 2
+    assert "task digests differ" in capsys.readouterr().err
+    assert not svg_path.exists()
+
+
+def test_replay_missing_task_file_is_an_error(tmp_path, capsys):
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    with pytest.raises(SystemExit) as err:
+        main(["replay", str(out / "checkpoint_seed3.json"), "--task", "freeform",
+              "--tasks", str(tmp_path / "missing.json")])
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def edit_checkpoint(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_malformed_checkpoint_env_is_an_error(tmp_path, capsys):
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    ckpt = out / "checkpoint_seed3.json"
+    edit_checkpoint(ckpt, lambda doc: doc["env"]["vvc"].update(mode="bogus"))
+    tasks = str(out / "tasks_seed3.json")
+    capsys.readouterr()
+    for argv in (["replay", str(ckpt), "--task", "freeform", "--tasks", tasks],
+                 ["replay", str(ckpt), "--setpoint", "0,0,0,0"],
+                 ["plot", "--checkpoint", str(ckpt), "--tasks", tasks,
+                  "-o", str(tmp_path / "p.svg")]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert message.startswith("error:") and "bogus" in message
+
+
+def test_replay_setpoint_tolerance_fallback_is_published_default(tmp_path, monkeypatch):
+    # a checkpoint without replay tolerances serves setpoints with the
+    # published vehicle tolerances (0.25 m, 1 deg, 5 km/h)
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    ckpt = out / "checkpoint_seed3.json"
+    edit_checkpoint(ckpt, lambda doc: doc["replay"].pop("tolerances"))
+    served = []
+    real_rollout = cli.rollout
+
+    def spy(theta, task, *args, **kwargs):
+        served.append(task)
+        return real_rollout(theta, task, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "rollout", spy)
+    assert main(["replay", str(ckpt), "--setpoint", "0,0,0,0",
+                 "--output-dir", str(out)]) == 0
+    assert served[0].tol == DEFAULT_VEHICLE_TOL
+    assert served[0].tol.eps_psi == math.radians(1.0)
 
 
 def test_plot_without_inputs_fails(tmp_path):

@@ -3,10 +3,13 @@ import re
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tshc.config import ConfigError, load_run_config, parse_quantity
+from tshc import artifacts
+from tshc.config import ConfigError, env_from_config, load_run_config, parse_quantity
 from tshc.envs import PendulumEnv, VehicleEnv
+from tshc.policy import param_count
 from tshc.reward import VVC_SPATIAL
 
 VEHICLE_YAML = """
@@ -162,3 +165,45 @@ def test_output_dir_defaults(tmp_path, monkeypatch):
     run = load_run_config(write(tmp_path, VEHICLE_YAML),
                           output_dir=str(tmp_path / "cli"))
     assert run.output_dir == str(tmp_path / "cli")
+
+
+def test_env_config_round_trip(tmp_path):
+    # config -> checkpoint -> env_from_config rebuilds the same environment
+    vehicle = VEHICLE_YAML.replace("  sampling_time: 0.1", """  sampling_time: 0.1
+  wheelbase: 2.7
+  workspace: [-30, -20, 40, 25]
+  obstacles: [[1, 1, 2, 3], [-5, -4, -3, -2]]""").replace(
+        "  mode: spatial\n  r_thresh: 5", "  mode: constant-margin\n  margin: 3 km/h"
+    ) + "normalization:\n  dpsi: 90 deg\n  dv: 5\n"
+    pendulum = PENDULUM_YAML.replace("  kind: pendulum", """  kind: pendulum
+  pole_half_length: 0.6
+  track_limit: 3""") + "normalization:\n  dtheta_dot: 360 deg/s\n"
+    rebuilt = []
+    for text in (vehicle, pendulum):
+        run = load_run_config(write(tmp_path, text))
+        path = tmp_path / "ckpt.json"
+        artifacts.write_checkpoint(path, run.spec, np.zeros(param_count(run.spec)),
+                                   run.norm, run.task_list, run.env_config, run.seed)
+        doc = artifacts.read_checkpoint(path)
+        env = env_from_config(doc["env"], doc["normalization"])
+        assert type(env) is type(run.env)
+        for attr in ("params", "limits", "vvc", "norm"):
+            assert getattr(env, attr, None) == getattr(run.env, attr, None), attr
+        rebuilt.append(env)
+    car, pole = rebuilt
+    assert len(car.params.obstacles) == 2 and car.vvc.mode == "constant-margin"
+    assert car.vvc.margin == pytest.approx(3.0 / 3.6)
+    assert car.norm.dpsi == pytest.approx(math.pi / 2)
+    assert pole.params.p_limit == 3.0
+    assert pole.norm.dtheta_dot == pytest.approx(2.0 * math.pi)
+
+
+def test_env_from_config_validates_like_a_config(tmp_path):
+    run = load_run_config(write(tmp_path, VEHICLE_YAML))
+    bad = dict(run.env_config, vvc=dict(run.env_config["vvc"], mode="bogus"))
+    with pytest.raises(ConfigError, match="vvc"):
+        env_from_config(bad)
+    with pytest.raises(ConfigError, match="env.colour"):
+        env_from_config(dict(run.env_config, colour="red"))
+    with pytest.raises(ConfigError, match="env.kind"):
+        env_from_config(dict(run.env_config, kind="boat"))

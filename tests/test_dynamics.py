@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tshc.dynamics import (ActuatorLimits, Control, PendulumParams, PendulumState,
-                           VehicleParams, VehicleState, clamp_controls, crash_check,
-                           intersect_interval, pendulum_accelerations,
+                           VehicleParams, VehicleState, clamp_controls,
+                           crash_check_arrays, intersect_interval,
+                           pendulum_accelerations,
                            pendulum_energy, rate_limited_interval, step_bicycle,
                            step_pendulum, wrap_angle)
 
@@ -156,18 +157,18 @@ def test_bicycle_deterministic():
 # --------------------------------------------------------------- crash_check
 
 def test_crash_center_is_clear():
-    assert crash_check(VehicleState(0.0, 0.0, 0.0), PAR) == 0
+    assert not crash_check_arrays(np.zeros(1), np.zeros(1), PAR)[0]
 
 
 def test_crash_outside_workspace():
-    assert crash_check(VehicleState(101.0, 0.0, 0.0), PAR) == 1
-    assert crash_check(VehicleState(0.0, -101.0, 0.0), PAR) == 1
+    crash = crash_check_arrays(np.array([101.0, 0.0]), np.array([0.0, -101.0]), PAR)
+    assert crash.tolist() == [True, True]
 
 
 def test_crash_inside_obstacle():
     par = VehicleParams(obstacles=((1.0, 1.0, 2.0, 2.0),))
-    assert crash_check(VehicleState(1.5, 1.5, 0.0), par) == 1
-    assert crash_check(VehicleState(0.5, 0.5, 0.0), par) == 0
+    crash = crash_check_arrays(np.array([1.5, 0.5]), np.array([1.5, 0.5]), par)
+    assert crash.tolist() == [True, False]
 
 
 # ------------------------------------------------------------- step_pendulum

@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tshc.dynamics import ActuatorLimits, Control, clamp_controls
-from tshc.policy import (MlpSpec, affine_scale, control_intervals, flatten,
-                         forward, init_params, param_count, perturb,
-                         scale_outputs, unflatten)
+from tshc.policy import (MlpSpec, affine_scale, control_intervals, forward_layers,
+                         init_params, param_count, unflatten)
+from tshc.trainer import candidate_theta
 
 LIM = ActuatorLimits()
+
+
+def forward(theta, spec, s):
+    return forward_layers(unflatten(theta, spec), s)
+
+
+def perturb(theta, sigma, rng):
+    return theta + sigma * rng.standard_normal(theta.shape[-1])
 
 
 # --------------------------------------------------------------- param_count
@@ -49,28 +57,26 @@ def test_init_deterministic():
     assert np.array_equal(a, b)
 
 
-# ------------------------------------------------------------------- perturb
+# ------------------------------------------------------ candidate perturbation
 
 def test_perturb_zero_sigma_is_identity():
     theta = np.arange(10.0)
-    out = perturb(theta, 0.0, np.random.default_rng(0))
+    out = candidate_theta(theta, 0.0, 0, 1, 1, 0)
     assert np.array_equal(out, theta)
 
 
 def test_perturb_does_not_mutate_input():
     theta = np.zeros(66)
-    perturb(theta, 5.0, np.random.default_rng(0))
+    candidate_theta(theta, 5.0, 0, 1, 1, 0)
     assert np.all(theta == 0.0)
 
 
 def test_perturb_statistics_and_determinism():
     theta = np.zeros(100_000)
-    a = perturb(theta, 3.0, np.random.default_rng(5))
-    b = perturb(theta, 3.0, np.random.default_rng(5))
+    a = candidate_theta(theta, 3.0, 5, 1, 1, 0)
+    b = candidate_theta(theta, 3.0, 5, 1, 1, 0)
     assert np.array_equal(a, b)
     assert abs(a.std() - 3.0) < 0.05 * 3.0
-    with pytest.raises(ValueError):
-        perturb(theta, -1.0, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------- forward
@@ -95,7 +101,7 @@ def test_forward_two_layer_closed_form():
     b1 = np.array([0.05, -0.02])
     w2 = np.array([[1.5, -0.7]])
     b2 = np.array([0.3])
-    theta = flatten([(w1, b1), (w2, b2)])
+    theta = np.concatenate([w1.ravel(), b1, w2.ravel(), b2])  # canonical order
     s = np.array([0.4, -0.9])
     hidden = np.tanh(w1 @ s + b1)
     expected = np.tanh(w2 @ hidden + b2)
@@ -105,13 +111,10 @@ def test_forward_two_layer_closed_form():
 
 def test_forward_rejects_bad_inputs():
     spec = MlpSpec((4, 8, 2))
-    theta = init_params(spec, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        forward(theta, spec, np.ones(5))
-    with pytest.raises(ValueError):
-        forward(theta, spec, np.array([1.0, np.nan, 0.0, 0.0]))
     with pytest.raises(ValueError):
         forward(np.zeros(10), spec, np.ones(4))
+    with pytest.raises(ValueError):
+        forward(np.zeros((3, 10)), spec, np.ones((3, 4)))
 
 
 @settings(max_examples=60)
@@ -131,8 +134,7 @@ def test_forward_batched_matches_loop():
     thetas = np.stack([perturb(init_params(spec, rng), 10.0, rng)
                        for _ in range(6)])
     s = rng.uniform(-1, 1, size=(6, 5))
-    from tshc.policy import forward_layers
-    batched = forward_layers(unflatten(thetas, spec), s)
+    batched = forward(thetas, spec, s)
     for i in range(6):
         assert np.array_equal(batched[i], forward(thetas[i], spec, s[i]))
 
@@ -142,7 +144,8 @@ def test_forward_batched_matches_loop():
 def test_flatten_unflatten_round_trip():
     spec = MlpSpec((4, 64, 64, 2))
     theta = init_params(spec, np.random.default_rng(1))
-    assert np.array_equal(flatten(unflatten(theta, spec)), theta)
+    parts = [a.ravel() for layer in unflatten(theta, spec) for a in layer]
+    assert np.array_equal(np.concatenate(parts), theta)
 
 
 def test_unflatten_canonical_order():
@@ -161,31 +164,38 @@ def test_affine_scale_endpoints_exact():
     assert affine_scale(0.0, -2.0, 2.0) == 0.0
 
 
+def scale_outputs(raw, prev: Control, vvc_box, Ts):
+    """The control step of VehicleEnv.apply_arrays for one lane."""
+    (v_lo, v_hi), (d_lo, d_hi) = control_intervals(prev.v, prev.delta, LIM, Ts, vvc_box)
+    return Control(float(affine_scale(raw[0], v_lo, v_hi)),
+                   float(affine_scale(raw[1], d_lo, d_hi)))
+
+
 def test_scale_outputs_box_corners_and_midpoint():
     prev = Control(0.0, 0.0)
-    lo = scale_outputs(np.array([-1.0, -1.0]), prev, LIM, None, 0.01)
-    hi = scale_outputs(np.array([1.0, 1.0]), prev, LIM, None, 0.01)
+    lo = scale_outputs(np.array([-1.0, -1.0]), prev, None, 0.01)
+    hi = scale_outputs(np.array([1.0, 1.0]), prev, None, 0.01)
     assert lo.v == pytest.approx(LIM.vdot_min * 0.01)
     assert hi.v == pytest.approx(LIM.vdot_max * 0.01)
     assert lo.delta == pytest.approx(LIM.deltadot_min * 0.01)
     assert hi.delta == pytest.approx(LIM.deltadot_max * 0.01)
-    mid = scale_outputs(np.array([0.0, 0.0]), prev, LIM, None, 0.01)
+    mid = scale_outputs(np.array([0.0, 0.0]), prev, None, 0.01)
     assert mid.delta == pytest.approx(0.0, abs=1e-15)
 
 
 def test_scale_outputs_respects_vvc_box():
     prev = Control(0.18, 0.0)
     # rate interval [0.1, 0.23] intersected with the VVC box [0, 0.2]
-    a = scale_outputs(np.array([1.0, 0.0]), prev, LIM, (0.0, 0.2), 0.01)
+    a = scale_outputs(np.array([1.0, 0.0]), prev, (0.0, 0.2), 0.01)
     assert a.v == pytest.approx(0.2)
-    a = scale_outputs(np.array([-1.0, 0.0]), prev, LIM, (0.0, 0.2), 0.01)
+    a = scale_outputs(np.array([-1.0, 0.0]), prev, (0.0, 0.2), 0.01)
     assert a.v == pytest.approx(0.1)
 
 
 def test_scale_outputs_empty_vvc_intersection_collapses():
     # vvc box far below the reachable rate interval -> nearest endpoint
     prev = Control(5.0, 0.0)
-    a = scale_outputs(np.array([1.0, 0.0]), prev, LIM, (-1.0, 0.0), 0.01)
+    a = scale_outputs(np.array([1.0, 0.0]), prev, (-1.0, 0.0), 0.01)
     assert a.v == pytest.approx(5.0 + LIM.vdot_min * 0.01)
 
 
@@ -193,7 +203,7 @@ def test_scale_outputs_empty_vvc_intersection_collapses():
 @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-9, 9), st.floats(-0.5, 0.5))
 def test_scale_then_clamp_is_noop(r0, r1, prev_v, prev_d):
     prev = Control(prev_v, prev_d)
-    a = scale_outputs(np.array([r0, r1]), prev, LIM, None, 0.01)
+    a = scale_outputs(np.array([r0, r1]), prev, None, 0.01)
     c = clamp_controls(a, prev, LIM, 0.01)
     assert c.v == pytest.approx(a.v, abs=1e-12)
     assert c.delta == pytest.approx(a.delta, abs=1e-12)

@@ -4,44 +4,52 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tshc.dynamics import VehicleState
+from tshc.dynamics import ActuatorLimits, VehicleParams
+from tshc.envs import VehicleEnv
 from tshc.reward import (Reward, Tolerances, VVC_CONSTANT, VVC_OFF, VVC_SPATIAL,
-                         VvcConfig, goal_flag, pathlength_delta, rich_reward,
-                         sparse_reward, success_integral, vvc_bounds)
+                         VvcConfig, sparse_reward, vvc_bounds)
+from tshc.tasks import freeform_task
 
 TOL = Tolerances(0.25, math.radians(1.0), 5.0 / 3.6)
 
 
-# ----------------------------------------------------------------- goal_flag
+def vehicle_state(x, y, psi, v):
+    return {"x": np.array([x]), "y": np.array([y]), "psi": np.array([psi]),
+            "v_prev": np.array([v]), "delta_prev": np.zeros(1)}
+
+
+def goal_flag(state, goal):
+    """The goal test the trainer runs: VehicleEnv.goal_mask on one lane."""
+    task = freeform_task((0.0, 0.0, 0.0, 0.0), goal, TOL)
+    return bool(VehicleEnv().goal_mask(vehicle_state(*state), task)[0])
+
+
+# ----------------------------------------------------------------- goal test
 
 def test_goal_flag_exact_match():
-    s = VehicleState(1.0, 2.0, 0.5, 3.0)
-    assert goal_flag(s, (1.0, 2.0, 0.5, 3.0), TOL) == 1
+    assert goal_flag((1.0, 2.0, 0.5, 3.0), (1.0, 2.0, 0.5, 3.0))
 
 
 def test_goal_flag_boundary_is_strict():
-    s = VehicleState(0.25, 0.0, 0.0, 0.0)
-    assert goal_flag(s, (0.0, 0.0, 0.0, 0.0), TOL) == 0
+    assert not goal_flag((0.25, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
 
 
 def test_goal_flag_published_tolerance_example():
     # e_d = 0.2 m, e_psi = 0.5 deg, e_v = 1 km/h within (0.25 m, 1 deg, 5 km/h)
-    s = VehicleState(0.2, 0.0, math.radians(0.5), 1.0 / 3.6)
-    assert goal_flag(s, (0.0, 0.0, 0.0, 0.0), TOL) == 1
+    assert goal_flag((0.2, 0.0, math.radians(0.5), 1.0 / 3.6), (0.0, 0.0, 0.0, 0.0))
 
 
 def test_goal_flag_wraps_heading():
-    s = VehicleState(0.0, 0.0, math.radians(359.0), 0.0)
-    assert goal_flag(s, (0.0, 0.0, 0.0, 0.0), TOL) == 1  # 359 deg == -1 deg
-    s = VehicleState(0.0, 0.0, 0.0, 0.0)
-    assert goal_flag(s, (0.0, 0.0, 2.0 * math.pi, 0.0), TOL) == 1
+    assert goal_flag((0.0, 0.0, math.radians(359.0), 0.0),
+                     (0.0, 0.0, 0.0, 0.0))  # 359 deg == -1 deg
+    assert goal_flag((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 2.0 * math.pi, 0.0))
 
 
 def test_goal_flag_each_axis_matters():
     goal = (0.0, 0.0, 0.0, 0.0)
-    assert goal_flag(VehicleState(1.0, 0.0, 0.0, 0.0), goal, TOL) == 0
-    assert goal_flag(VehicleState(0.0, 0.0, 0.5, 0.0), goal, TOL) == 0
-    assert goal_flag(VehicleState(0.0, 0.0, 0.0, 5.0), goal, TOL) == 0
+    assert not goal_flag((1.0, 0.0, 0.0, 0.0), goal)
+    assert not goal_flag((0.0, 0.0, 0.5, 0.0), goal)
+    assert not goal_flag((0.0, 0.0, 0.0, 5.0), goal)
 
 
 def test_tolerances_must_be_positive():
@@ -61,32 +69,36 @@ def test_sparse_reward_sum_over_clean_rollout():
     assert total == -10.0
 
 
-# ----------------------------------------------------------- success_integral
+# ------------------------------------------------------------ pathlength step
 
-def test_success_integral_window_cases():
-    assert success_integral([1], 1) == 1
-    assert success_integral([1, 0, 1, 1], 3) == 0
-    assert success_integral([0, 1, 1, 1], 3) == 1
-    assert success_integral([1, 1], 3) == 0  # history shorter than window
-    with pytest.raises(ValueError):
-        success_integral([1], 0)
+FAR_TASK = freeform_task((0.0, 0.0, 0.0, 0.0), (50.0, 0.0, 0.0, 0.0), TOL)
 
 
-# ----------------------------------------------------------- pathlength_delta
+def step_dp(env, state, raw):
+    """Pathlength increment dp of one VehicleEnv.apply_arrays step."""
+    _, _, dp, _ = env.apply_arrays(vehicle_state(*state), np.array([raw]), FAR_TASK)
+    return float(dp[0])
+
 
 def test_pathlength_delta_values():
-    a = VehicleState(0.0, 0.0, 0.0)
-    assert pathlength_delta(a, a) == 0.0
-    b = VehicleState(3.0, 4.0, 0.0)
-    assert pathlength_delta(a, b) == -5.0
+    # Ts = 1 s and a symmetric +-5 m/s^2 rate box around v_prev = 0: raw 0
+    # holds the car still, raw 1 drives 5 m along the 3-4-5 heading
+    env = VehicleEnv(VehicleParams(Ts=1.0), ActuatorLimits(vdot_min=-5.0, vdot_max=5.0))
+    assert step_dp(env, (0.0, 0.0, 0.0, 0.0), [0.0, 0.0]) == 0.0
+    dp = step_dp(env, (0.0, 0.0, math.atan2(4.0, 3.0), 0.0), [1.0, 0.0])
+    assert dp == pytest.approx(-5.0, abs=1e-12)
 
 
 def test_pathlength_triangle_inequality():
+    env = VehicleEnv(VehicleParams(Ts=0.1))
     rng = np.random.default_rng(0)
-    pts = [VehicleState(float(x), float(y), 0.0)
-           for x, y in rng.uniform(-5, 5, size=(20, 2))]
-    total = sum(pathlength_delta(a, b) for a, b in zip(pts[:-1], pts[1:]))
-    straight = math.hypot(pts[-1].x - pts[0].x, pts[-1].y - pts[0].y)
+    S = vehicle_state(0.0, 0.0, 0.0, 0.0)
+    total = 0.0
+    for raw in rng.uniform(-1.0, 1.0, size=(20, 2)):
+        S, _, dp, _ = env.apply_arrays(S, raw[None, :], FAR_TASK)
+        total += float(dp[0])
+    straight = math.hypot(float(S["x"][0]), float(S["y"][0]))
+    assert straight > 0.0
     assert -total >= straight - 1e-12
 
 
@@ -156,12 +168,13 @@ def test_vvc_config_validation():
         VvcConfig(VVC_CONSTANT, margin=-1.0)
 
 
-# --------------------------------------------------------------- rich_reward
+# ------------------------------------------------------------- rich reward
 
 def test_rich_reward_values():
-    assert rich_reward([1.0, 2.0], [1.0, 2.0], [1.0, 1.0], 0) == Reward(0.0, False)
-    r = rich_reward([1.0, 0.0], [0.0, 0.0], [2.0, 1.0], 0)
-    assert r.value == -2.0
-    assert rich_reward([0.0], [0.0], [1.0], 1).crashed
-    with pytest.raises(ValueError):
-        rich_reward([0.0], [0.0], [-1.0], 0)
+    env = VehicleEnv()
+    task = freeform_task((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 0.5, 3.0), TOL)
+    at_goal = vehicle_state(1.0, 2.0, 0.5 + 2.0 * math.pi, 3.0)  # heading wraps
+    assert env.rich_values(at_goal, task, (1.0, 1.0, 1.0, 1.0))[0] == \
+        pytest.approx(0.0, abs=1e-15)
+    off = vehicle_state(2.0, 2.0, 0.5, 3.0)
+    assert env.rich_values(off, task, (2.0, 1.0, 1.0, 1.0))[0] == -2.0

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from tshc.dynamics import VehicleState, wrap_angle
 from tshc.reward import Tolerances
 from tshc.tasks import (GOAL4, GOAL5, PENDULUM4, GoalTuple, PendulumNorm, Task,
-                        VEHICLE, VehicleNorm, feature_vector, freeform_task,
-                        heading_grid, mirror_control, mirror_features,
-                        mirror_goal, mirror_task, nearest_goal_lookup,
-                        pendulum_tasks)
+                        VEHICLE, VehicleNorm, freeform_task, heading_grid,
+                        mirror_control, mirror_features, mirror_goal, mirror_task,
+                        nearest_goal_lookup, pendulum_features, pendulum_tasks,
+                        vehicle_features)
 
 TOL = Tolerances(0.25, math.radians(1.0), 5.0 / 3.6)
 
@@ -37,15 +36,13 @@ def test_freeform_task_defaults():
 
 def test_goal4_features_hand_value():
     t = freeform_task((0, 0, 0, 0), (20.0, 10.0, math.pi / 2, 5.0))
-    s = VehicleState(10.0, 5.0, 0.0, 2.5)
-    f = feature_vector(s, t, norm=VehicleNorm())
+    f = vehicle_features(10.0, 5.0, 0.0, 2.5, t, VehicleNorm())
     assert np.allclose(f, [0.5, 0.25, 0.5, 0.25], atol=1e-15)
 
 
 def test_goal5_features_append_last_raw_steer():
     t = heading_grid(10, 90)[3]
-    s = VehicleState(0.0, 0.0, 0.0, 0.0)
-    f = feature_vector(s, t, last_raw_steer=0.7)
+    f = vehicle_features(0.0, 0.0, 0.0, 0.0, t, VehicleNorm(), 0.7)
     assert f.shape == (5,)
     assert f[4] == 0.7
     assert f[2] == pytest.approx(math.radians(30) / math.pi)
@@ -53,17 +50,13 @@ def test_goal5_features_append_last_raw_steer():
 
 def test_feature_heading_difference_wraps():
     t = freeform_task((0, 0, 0, 0), (0.0, 0.0, math.radians(170), 0.0))
-    s = VehicleState(0.0, 0.0, math.radians(-170), 0.0)
-    f = feature_vector(s, t)
+    f = vehicle_features(0.0, 0.0, math.radians(-170), 0.0, t, VehicleNorm())
     # shortest signed difference is -20 deg, not +340 deg
     assert f[2] == pytest.approx(math.radians(-20) / math.pi)
 
 
 def test_pendulum_features_hand_value():
-    t = pendulum_tasks("stabilize")[0]
-    from tshc.dynamics import PendulumState
-    s = PendulumState(1.2, 1.5, math.pi / 2, 2.0 * math.pi)
-    f = feature_vector(s, t, norm=PendulumNorm())
+    f = pendulum_features(1.2, 1.5, math.pi / 2, 2.0 * math.pi, PendulumNorm())
     assert np.allclose(f, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
 

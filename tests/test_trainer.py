@@ -6,14 +6,13 @@ import pytest
 
 from tshc.dynamics import PendulumParams, VehicleParams
 from tshc.envs import PendulumEnv, VehicleEnv
-from tshc.policy import MlpSpec, init_params, param_count, perturb
+from tshc.policy import MlpSpec, init_params, param_count
 from tshc.reward import Tolerances
 from tshc.tasks import (GOAL5, PENDULUM, PENDULUM4, Task, freeform_task,
                         heading_grid, mirror_task, pendulum_tasks)
 from tshc.trainer import (BestSolution, CandidateScore, TshcConfig, adapt_sigma,
                           batch_rollout, candidate_theta, draw_sigma,
-                          evaluate_batch, evaluate_candidate, rollout,
-                          select_best, tshc_run)
+                          evaluate_batch, rollout, select_best, tshc_run)
 
 SPEC4 = MlpSpec((4, 8, 2))
 SPEC5 = MlpSpec((5, 8, 2))
@@ -26,6 +25,14 @@ def strip_wall_time(history):
 
 def small_env():
     return VehicleEnv()
+
+
+def perturb(theta, sigma, rng):
+    return theta + sigma * rng.standard_normal(theta.shape[-1])
+
+
+def evaluate_candidate(theta, tasks, env, spec, t_max):
+    return evaluate_batch(theta, tasks, env, spec, t_max, 1)[0]
 
 
 # -------------------------------------------------------------------- config
@@ -179,6 +186,46 @@ def test_batch_rollout_compaction_is_lane_exact():
     assert mixed >= 8
 
 
+class ScriptedGoalEnv:
+    """One-lane env whose goal test at step t reads flags[t] (0 past the end)."""
+
+    kind = "scripted"
+    control_dim = 1
+
+    def __init__(self, flags):
+        self.flags = flags
+
+    def init_arrays(self, task, n):
+        return {"t": np.zeros(n)}
+
+    def goal_mask(self, S, task):
+        t = int(S["t"][0])
+        return np.full(S["t"].shape, t < len(self.flags) and self.flags[t] == 1)
+
+    def features_arrays(self, S, task, last_raw):
+        return np.zeros(S["t"].shape + (1,))
+
+    def apply_arrays(self, S, raw, task):
+        n = S["t"].shape
+        return {"t": S["t"] + 1}, raw, np.zeros(n), np.zeros(n, dtype=bool)
+
+
+def test_batch_rollout_goal_run_resets():
+    # t_goal = 3 consecutive goal steps: a 0 resets the run counter, and a
+    # run cut short by the horizon is no success
+    spec = MlpSpec((1, 1))
+    task = freeform_task((0, 0, 0, 0), (0, 0, 0, 0))
+    for flags, t_max, success, steps in [((1, 0, 1, 1, 1), 8, 1, 4),
+                                         ((0, 1, 1, 1), 8, 1, 3),
+                                         ((1, 1), 2, 0, 2),
+                                         ((1, 1, 0, 1, 1), 5, 0, 5)]:
+        s, _, j, _, n_steps, _, _ = batch_rollout(
+            np.zeros(2), spec, task, ScriptedGoalEnv(flags), t_max, 3)
+        assert (s[0], n_steps[0]) == (success, steps), flags
+        # the reward counts every step tested, the final goal step included
+        assert j[0] == -(steps + success)
+
+
 def test_batch_rollout_record_requires_single_lane():
     env = small_env()
     task = freeform_task((0, 0, 0, 0), (3, 0, 0, 0))
@@ -207,7 +254,7 @@ def test_mirror_rollout_is_exact_reflection():
         assert abs(ra[5] + rb[5]) < 1e-9        # steering negated
 
 
-# --------------------------------------------------------- evaluate_candidate
+# ------------------------------------------------------ one-candidate scores
 
 def test_evaluate_candidate_aggregates_tasks():
     env = small_env()
