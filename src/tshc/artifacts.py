@@ -19,6 +19,9 @@ from . import tasks as tasklib
 from .reward import Tolerances
 
 CHECKPOINT_FORMAT = "tshc-checkpoint-v1"
+# what replay and plot read from every checkpoint
+CHECKPOINT_KEYS = ("theta", "layer_sizes", "env", "normalization", "task_digest",
+                   "goal_tuples")
 TASKLIST_FORMAT = "tshc-tasks-v1"
 
 
@@ -109,6 +112,9 @@ def read_checkpoint(path):
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
+    missing = [key for key in CHECKPOINT_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: checkpoint has no {', '.join(missing)}")
     doc["theta"] = np.asarray(doc["theta"], dtype=float)
     doc["goal_tuples"] = [
         tasklib.GoalTuple(tuple(g["achieved"]), tuple(g["commanded"]),

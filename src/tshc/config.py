@@ -270,7 +270,10 @@ def _build_training(doc, seed, workers):
     if rich is not None:
         if not isinstance(rich, (list, tuple)) or len(rich) != 4:
             raise ConfigError("training.rich_weights: expected 4 weights")
-        rich = tuple(float(w) for w in rich)
+        try:
+            rich = tuple(float(w) for w in rich)
+        except (TypeError, ValueError):
+            raise ConfigError(f"training.rich_weights: expected numbers, got {rich}") from None
     try:
         return TshcConfig(
             n_restarts=int(doc["n_restarts"]),

@@ -1,7 +1,8 @@
 """Deterministic discrete-time simulators: kinematic bicycle and cart-pole.
 
-The ``*_arrays`` kernels work elementwise on numpy arrays and serve every
-rollout, batched or a one-lane replay; the single-state wrappers over them
+The ``*_arrays`` kernels take a state's coordinates as the rows of one
+array, elementwise over its lanes (columns), and serve every rollout,
+batched or a one-lane replay; the single-state wrappers over them
 (``step_bicycle``, ``step_pendulum``, ``clamp_controls``) serve test oracles.
 """
 
@@ -13,9 +14,9 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(a):
-    """Wrap an angle (scalar or array) to (-pi, pi]."""
-    return a - TWO_PI * np.ceil((a - math.pi) / TWO_PI)
+def wrap_angle(a, out=None):
+    """Wrap an angle (scalar or array) to (-pi, pi]; ``out`` may be ``a``."""
+    return np.subtract(a, TWO_PI * np.ceil((a - math.pi) / TWO_PI), out=out)
 
 
 @dataclass(frozen=True)
@@ -92,21 +93,25 @@ class PendulumState:
     t: int = 0
 
 
-def rate_limited_interval(prev, abs_min, abs_max, rate_min, rate_max, Ts):
-    """Intersection of absolute and rate boxes around the previous command.
+def rate_limited_interval(prev, abs_min, abs_max, step_min, step_max):
+    """Intersection of the absolute box with the rate box around the previous
+    command, [prev + step_min, prev + step_max], where a step bound is a rate
+    bound times the sampling time.
 
     If the intersection is empty (the rate box lies fully outside the
     absolute box), collapses to the rate-feasible endpoint nearest the
-    absolute box.  Works elementwise on arrays.
+    absolute box.  Works elementwise on arrays, such as the v and delta
+    rows of a (2, lanes) array with (2, 1) bound columns.
     """
-    rate_lo = prev + rate_min * Ts
-    rate_hi = prev + rate_max * Ts
+    rate_lo = prev + step_min
+    rate_hi = prev + step_max
     lo = np.maximum(rate_lo, abs_min)
     hi = np.minimum(rate_hi, abs_max)
     empty = lo > hi
-    nearest = np.where(rate_lo > abs_max, rate_lo, rate_hi)
-    lo = np.where(empty, nearest, lo)
-    hi = np.where(empty, nearest, hi)
+    if np.count_nonzero(empty):
+        nearest = np.where(rate_lo > abs_max, rate_lo, rate_hi)
+        lo = np.where(empty, nearest, lo)
+        hi = np.where(empty, nearest, hi)
     return lo, hi
 
 
@@ -119,34 +124,45 @@ def intersect_interval(lo, hi, other_lo, other_hi):
     new_lo = np.maximum(lo, other_lo)
     new_hi = np.minimum(hi, other_hi)
     empty = new_lo > new_hi
-    nearest = np.where(hi < other_lo, hi, lo)
-    new_lo = np.where(empty, nearest, new_lo)
-    new_hi = np.where(empty, nearest, new_hi)
+    if np.count_nonzero(empty):
+        nearest = np.where(hi < other_lo, hi, lo)
+        new_lo = np.where(empty, nearest, new_lo)
+        new_hi = np.where(empty, nearest, new_hi)
     return new_lo, new_hi
 
 
 def clamp_controls(raw: Control, prev: Control, lim: ActuatorLimits, Ts: float) -> Control:
     """Project a raw command onto the admissible absolute-and-rate box."""
     v_lo, v_hi = rate_limited_interval(prev.v, lim.v_min, lim.v_max,
-                                       lim.vdot_min, lim.vdot_max, Ts)
+                                       lim.vdot_min * Ts, lim.vdot_max * Ts)
     d_lo, d_hi = rate_limited_interval(prev.delta, lim.delta_min, lim.delta_max,
-                                       lim.deltadot_min, lim.deltadot_max, Ts)
+                                       lim.deltadot_min * Ts, lim.deltadot_max * Ts)
     return Control(float(np.clip(raw.v, v_lo, v_hi)),
                    float(np.clip(raw.delta, d_lo, d_hi)))
 
 
-def step_bicycle_arrays(x, y, psi, v, delta, params: VehicleParams):
-    """One Euler step of the kinematic bicycle model, elementwise."""
+def step_bicycle_arrays(pose, v, delta, params: VehicleParams, out=None):
+    """One Euler step of the kinematic bicycle model.
+
+    ``pose`` holds x, y and psi as its rows, elementwise over the lanes;
+    the next pose is written to ``out`` (a new array by default).
+    """
+    x, y, psi = pose
+    if out is None:
+        out = np.empty(np.shape(pose))
     Ts = params.Ts
-    nx = x + Ts * v * np.cos(psi)
-    ny = y + Ts * v * np.sin(psi)
-    npsi = wrap_angle(psi + Ts * (v / params.l_f) * np.tan(delta))
-    return nx, ny, npsi
+    tv = Ts * v
+    np.add(x, tv * np.cos(psi), out=out[0])
+    np.add(y, tv * np.sin(psi), out=out[1])
+    np.add(psi, Ts * (v / params.l_f) * np.tan(delta), out=out[2])
+    wrap_angle(out[2], out=out[2])
+    return out
 
 
 def step_bicycle(s: VehicleState, a: Control, p: VehicleParams) -> VehicleState:
-    nx, ny, npsi = step_bicycle_arrays(s.x, s.y, s.psi, a.v, a.delta, p)
-    return VehicleState(float(nx), float(ny), float(npsi), a.v, a.delta, s.t + 1)
+    pose = np.array([[s.x], [s.y], [s.psi]])
+    nx, ny, npsi = step_bicycle_arrays(pose, a.v, a.delta, p)[:, 0].tolist()
+    return VehicleState(nx, ny, npsi, a.v, a.delta, s.t + 1)
 
 
 def crash_check_arrays(x, y, params: VehicleParams):
@@ -171,19 +187,24 @@ def pendulum_accelerations(theta, theta_dot, force, params: PendulumParams):
     return p_acc, theta_acc
 
 
-def step_pendulum_arrays(p, p_dot, theta, theta_dot, force, params: PendulumParams):
-    p_acc, theta_acc = pendulum_accelerations(theta, theta_dot, force, params)
-    Ts = params.Ts
-    return (p + Ts * p_dot,
-            p_dot + Ts * p_acc,
-            wrap_angle(theta + Ts * theta_dot),
-            theta_dot + Ts * theta_acc)
+def step_pendulum_arrays(z, force, params: PendulumParams):
+    """One Euler step of the cart-pole, ``z + Ts * dz/dt``.
+
+    ``z`` holds p, p_dot, theta and theta_dot as its rows, elementwise over
+    the lanes; returns the next states in the same layout.
+    """
+    rate = np.empty(np.shape(z))
+    rate[0::2] = z[1::2]  # p_dot, theta_dot
+    rate[1], rate[3] = pendulum_accelerations(z[2], z[3], force, params)
+    nxt = z + params.Ts * rate
+    wrap_angle(nxt[2], out=nxt[2])
+    return nxt
 
 
 def step_pendulum(s: PendulumState, force: float, params: PendulumParams) -> PendulumState:
-    np_, npd, nth, nthd = step_pendulum_arrays(s.p, s.p_dot, s.theta, s.theta_dot,
-                                               force, params)
-    return PendulumState(float(np_), float(npd), float(nth), float(nthd), s.t + 1)
+    z = np.array([[s.p], [s.p_dot], [s.theta], [s.theta_dot]])
+    np_, npd, nth, nthd = step_pendulum_arrays(z, force, params)[:, 0].tolist()
+    return PendulumState(np_, npd, nth, nthd, s.t + 1)
 
 
 def pendulum_energy(s: PendulumState, params: PendulumParams) -> float:

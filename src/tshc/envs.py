@@ -1,18 +1,46 @@
 """Environment wrappers that glue dynamics, reward machinery and feature
 recipes behind one array-based interface.
 
-State is a dict of equally-shaped float arrays; every method works for a
-batch of n rollouts in lockstep, and for n == 1 during replay.  Each
-batch lane is computed independently, so results are bit-identical no
-matter how candidates are grouped into batches.
+A rollout's state is one float matrix with a row per state coordinate and
+a column per lane: x, y, psi, v_prev, delta_prev for the vehicle and p,
+p_dot, theta, theta_dot for the cart-pole.  The first four rows are the
+goal coordinates in ``Task.z_goal`` order.  Every method works for a batch
+of n rollouts in lockstep, and for n == 1 during replay; each row is
+contiguous, so a lane drops out of the batch with one column selection.
+``constants`` gathers what a rollout of one task needs at every step (goal
+and scale columns, control bounds), once per rollout.  Each batch lane is
+computed independently, so results are bit-identical no matter how
+candidates are grouped into batches.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, reward, tasks
 from .dynamics import ActuatorLimits, PendulumParams, VehicleParams, wrap_angle
-from .policy import affine_scale, control_intervals
+from .policy import affine_scale, control_bounds, control_intervals
 from .reward import VvcConfig
+
+
+@dataclass(frozen=True)
+class RolloutConstants:
+    """Per-rollout constants of one task in one environment."""
+
+    task: tasks.Task
+    goal: np.ndarray          # (4, 1) goal column
+    scale: np.ndarray         # (4, 1) feature normalization column
+    bounds: tuple = ()        # vehicle: control_bounds columns of v and delta
+
+
+def _goal_column(task):
+    return np.array(task.z_goal)[:, None]
+
+
+def _initial_state(z0, extra_rows, n):
+    column = np.array(z0 + (0.0,) * extra_rows)
+    column[2] = wrap_angle(column[2])
+    return np.repeat(column[:, None], n, axis=1)
 
 
 class VehicleEnv:
@@ -32,53 +60,41 @@ class VehicleEnv:
     def feature_dim(self, task):
         return tasks.RECIPE_DIMS[task.feature_recipe]
 
-    def init_arrays(self, task, n):
-        x0, y0, psi0, v0 = task.z0
-        return {"x": np.full(n, x0), "y": np.full(n, y0),
-                "psi": np.full(n, float(wrap_angle(psi0))),
-                "v_prev": np.full(n, v0), "delta_prev": np.zeros(n)}
+    def constants(self, task):
+        return RolloutConstants(task, _goal_column(task), tasks.norm_column(self.norm),
+                                control_bounds(self.limits, self.params.Ts))
 
-    def goal_mask(self, S, task):
-        e_d, e_psi, e_v = reward.goal_errors(S["x"], S["y"], S["psi"],
-                                             S["v_prev"], task.z_goal)
-        tol = task.tol
+    def init_arrays(self, task, n):
+        """(5, n) state: x, y, psi, v_prev, delta_prev."""
+        return _initial_state(task.z0, 1, n)
+
+    def goal_mask(self, S, c):
+        e_d, e_psi, e_v = reward.goal_errors(S[:4], c.goal)
+        tol = c.task.tol
         return (e_d < tol.eps_d) & (e_psi < tol.eps_psi) & (e_v < tol.eps_v)
 
-    def features_arrays(self, S, task, last_raw):
-        return tasks.vehicle_features(S["x"], S["y"], S["psi"], S["v_prev"],
-                                      task, self.norm, last_raw)
+    def features_arrays(self, S, c, last_raw, out=None):
+        steer = last_raw if c.task.feature_recipe == tasks.GOAL5 else None
+        return tasks.vehicle_features(S[:4], c.goal, c.scale, steer, out)
 
-    def apply_arrays(self, S, raw, task):
+    def apply_arrays(self, S, raw, c):
+        """Next state, applied controls (its v and delta rows), pathlength
+        increment and crash-or-non-finite flag of one step."""
         lim = self.limits
         vvc_box = None
         if self.vvc.mode != reward.VVC_OFF:
-            e_d = np.hypot(task.z_goal[0] - S["x"], task.z_goal[1] - S["y"])
-            vvc_box = reward.vvc_bounds(e_d, task.z_goal[3],
+            d = c.goal[:2] - S[:2]
+            vvc_box = reward.vvc_bounds(np.hypot(d[0], d[1]), c.task.z_goal[3],
                                         lim.v_min, lim.v_max, self.vvc)
-        (v_lo, v_hi), (d_lo, d_hi) = control_intervals(
-            S["v_prev"], S["delta_prev"], lim, self.params.Ts, vvc_box)
-        v = affine_scale(raw[..., 0], v_lo, v_hi)
-        delta = affine_scale(raw[..., 1], d_lo, d_hi)
-        nx, ny, npsi = dynamics.step_bicycle_arrays(S["x"], S["y"], S["psi"],
-                                                    v, delta, self.params)
-        dp = -np.hypot(nx - S["x"], ny - S["y"])
-        crash = dynamics.crash_check_arrays(nx, ny, self.params)
-        nonfinite = ~(np.isfinite(nx) & np.isfinite(ny) & np.isfinite(npsi))
-        next_state = {"x": nx, "y": ny, "psi": npsi, "v_prev": v, "delta_prev": delta}
-        controls = np.stack([v, delta], axis=-1)
-        return next_state, controls, dp, crash | nonfinite
-
-    def rich_values(self, S, task, weights):
-        gx, gy, gpsi, gv = task.z_goal
-        a = np.asarray(weights, dtype=float)
-        return -(a[0] * (S["x"] - gx) ** 2
-                 + a[1] * (S["y"] - gy) ** 2
-                 + a[2] * wrap_angle(S["psi"] - gpsi) ** 2
-                 + a[3] * (S["v_prev"] - gv) ** 2)
-
-    def terminal_state(self, S, i=0):
-        return (float(S["x"][i]), float(S["y"][i]), float(S["psi"][i]),
-                float(S["v_prev"][i]))
+        lo, hi = control_intervals(S[3:], c.bounds, vvc_box)
+        nxt = np.empty(S.shape)
+        controls = affine_scale(raw.T, lo, hi, out=nxt[3:])
+        dynamics.step_bicycle_arrays(S[:3], controls[0], controls[1], self.params,
+                                     out=nxt[:3])
+        d = nxt[:2] - S[:2]
+        dp = -np.hypot(d[0], d[1])
+        crash = dynamics.crash_check_arrays(nxt[0], nxt[1], self.params)
+        return nxt, controls, dp, crash | ~np.isfinite(nxt[:3]).all(0)
 
 
 class PendulumEnv:
@@ -94,44 +110,29 @@ class PendulumEnv:
     def feature_dim(self, task):
         return tasks.RECIPE_DIMS[task.feature_recipe]
 
+    def constants(self, task):
+        return RolloutConstants(task, _goal_column(task), tasks.norm_column(self.norm))
+
     def init_arrays(self, task, n):
-        p0, pd0, th0, thd0 = task.z0
-        return {"p": np.full(n, p0), "p_dot": np.full(n, pd0),
-                "theta": np.full(n, float(wrap_angle(th0))),
-                "theta_dot": np.full(n, thd0)}
+        """(4, n) state: p, p_dot, theta, theta_dot."""
+        return _initial_state(task.z0, 0, n)
 
-    def goal_mask(self, S, task):
+    def goal_mask(self, S, c):
         # stabilization succeeds on the pole angle alone
-        return np.abs(wrap_angle(S["theta"] - task.z_goal[2])) < task.tol.eps_psi
+        return np.abs(wrap_angle(S[2] - c.task.z_goal[2])) < c.task.tol.eps_psi
 
-    def features_arrays(self, S, task, last_raw):
-        return tasks.pendulum_features(S["p"], S["p_dot"], S["theta"],
-                                       S["theta_dot"], self.norm)
+    def features_arrays(self, S, c, last_raw, out=None):
+        return tasks.pendulum_features(S, c.scale, out)
 
-    def apply_arrays(self, S, raw, task):
+    def apply_arrays(self, S, raw, c):
+        """Next state, applied force as a (1, lanes) row, pathlength
+        increment and crash-or-non-finite flag of one step."""
         f_max = self.params.f_max
-        force = affine_scale(raw[..., 0], -f_max, f_max)
-        np_, npd, nth, nthd = dynamics.step_pendulum_arrays(
-            S["p"], S["p_dot"], S["theta"], S["theta_dot"], force, self.params)
-        dp = -np.abs(np_ - S["p"])
-        crash = np.abs(np_) > self.params.p_limit
-        nonfinite = ~(np.isfinite(np_) & np.isfinite(npd)
-                      & np.isfinite(nth) & np.isfinite(nthd))
-        next_state = {"p": np_, "p_dot": npd, "theta": nth, "theta_dot": nthd}
-        controls = force[..., None] if np.ndim(force) else np.array([force])
-        return next_state, controls, dp, crash | nonfinite
-
-    def rich_values(self, S, task, weights):
-        gp, gpd, gth, gthd = task.z_goal
-        a = np.asarray(weights, dtype=float)
-        return -(a[0] * (S["p"] - gp) ** 2
-                 + a[1] * (S["p_dot"] - gpd) ** 2
-                 + a[2] * wrap_angle(S["theta"] - gth) ** 2
-                 + a[3] * (S["theta_dot"] - gthd) ** 2)
-
-    def terminal_state(self, S, i=0):
-        return (float(S["p"][i]), float(S["p_dot"][i]), float(S["theta"][i]),
-                float(S["theta_dot"][i]))
+        force = affine_scale(raw[:, 0], -f_max, f_max)
+        nxt = dynamics.step_pendulum_arrays(S, force, self.params)
+        dp = -np.abs(nxt[0] - S[0])
+        crash = np.abs(nxt[0]) > self.params.p_limit
+        return nxt, force[None], dp, crash | ~np.isfinite(nxt).all(0)
 
 
 def env_for_kind(kind, **kwargs):

@@ -75,20 +75,29 @@ def forward_layers(layers, s):
     return x
 
 
-def control_intervals(prev_v, prev_delta, lim: ActuatorLimits, Ts,
-                      vvc_box=None):
-    """Admissible [lo, hi] per channel: absolute, rate and optional VVC bounds."""
-    v_lo, v_hi = rate_limited_interval(prev_v, lim.v_min, lim.v_max,
-                                       lim.vdot_min, lim.vdot_max, Ts)
+def control_bounds(lim: ActuatorLimits, Ts):
+    """(2, 1) columns of the v and delta channels: absolute minimum and
+    maximum, then the largest step down and up in one sample (rate * Ts)."""
+    return (np.array([[lim.v_min], [lim.delta_min]]),
+            np.array([[lim.v_max], [lim.delta_max]]),
+            np.array([[lim.vdot_min * Ts], [lim.deltadot_min * Ts]]),
+            np.array([[lim.vdot_max * Ts], [lim.deltadot_max * Ts]]))
+
+
+def control_intervals(prev, bounds, vvc_box=None):
+    """Admissible [lo, hi] of the v (row 0) and delta (row 1) channels.
+
+    ``prev`` holds the previous commands as a (2, lanes) array and
+    ``bounds`` comes from ``control_bounds``; the optional VVC box
+    narrows the v row only.
+    """
+    lo, hi = rate_limited_interval(prev, *bounds)
     if vvc_box is not None:
-        v_lo, v_hi = intersect_interval(v_lo, v_hi, vvc_box[0], vvc_box[1])
-    d_lo, d_hi = rate_limited_interval(prev_delta, lim.delta_min, lim.delta_max,
-                                       lim.deltadot_min, lim.deltadot_max, Ts)
-    return (v_lo, v_hi), (d_lo, d_hi)
+        lo[0], hi[0] = intersect_interval(lo[0], hi[0], *vvc_box)
+    return lo, hi
 
 
-def affine_scale(raw, lo, hi):
+def affine_scale(raw, lo, hi, out=None):
     """Map raw in [-1, 1] onto [lo, hi]; endpoints map exactly."""
     u = (raw + 1.0) * 0.5
-    return lo * (1.0 - u) + hi * u
-
+    return np.add(lo * (1.0 - u), hi * u, out=out)

@@ -49,12 +49,30 @@ class Reward:
     crashed: bool = False
 
 
-def goal_errors(x, y, psi, v, goal):
-    """Position, wrapped heading and velocity errors w.r.t. a (x, y, psi, v) goal."""
-    e_d = np.hypot(goal[0] - x, goal[1] - y)
-    e_psi = np.abs(wrap_angle(goal[2] - psi))
-    e_v = np.abs(goal[3] - v)
-    return e_d, e_psi, e_v
+def goal_errors(z, goal):
+    """Position, wrapped heading and velocity errors w.r.t. a goal.
+
+    ``z`` and ``goal`` hold (x, y, psi, v) along their first axis and
+    broadcast against each other: a (4, lanes) state matrix with a (4, 1)
+    goal column, or a (4, 1) point against a (4, m) set of goals.
+    """
+    d = goal - z
+    return np.hypot(d[0], d[1]), np.abs(wrap_angle(d[2])), np.abs(d[3])
+
+
+def rich_values(z, goal, weights):
+    """Dense reward: minus the weighted squared error of z to the goal.
+
+    Both plants hold their four goal coordinates in the first four state
+    rows, the third an angle, which is wrapped; ``goal`` and ``weights``
+    are (4, 1) columns.
+    """
+    d = z - goal
+    wrap_angle(d[2], out=d[2])
+    w = weights * d ** 2
+    # the four terms added left to right, written out: numpy does not
+    # promise the order in which a reduction adds them
+    return -(w[0] + w[1] + w[2] + w[3])
 
 
 def sparse_reward(crash_flag) -> Reward:
@@ -62,27 +80,22 @@ def sparse_reward(crash_flag) -> Reward:
 
 
 def vvc_bounds(e_d, v_goal, v_min, v_max, cfg: VvcConfig):
-    """Velocity box valid at distance e_d from the goal; elementwise on arrays."""
+    """Velocity box valid at distance e_d from the goal; elementwise over e_d
+    (the speeds and the config are scalars)."""
     if cfg.mode == VVC_OFF:
         shape = np.shape(e_d)
         if shape:
             return np.full(shape, float(v_min)), np.full(shape, float(v_max))
         return float(v_min), float(v_max)
+    far = e_d >= cfg.r_thresh
     if cfg.mode == VVC_SPATIAL:
         frac = np.minimum(e_d, cfg.r_thresh) / cfg.r_thresh
         lo = v_goal + (v_min - v_goal) * frac
         hi = v_goal + (v_max - v_goal) * frac
-        lo = np.where(e_d >= cfg.r_thresh, v_min, lo)
-        hi = np.where(e_d >= cfg.r_thresh, v_max, hi)
-        return lo, hi
+        return np.where(far, v_min, lo), np.where(far, v_max, hi)
     # constant margin inside r_thresh, global bounds outside
-    lo_in = np.maximum(v_goal - cfg.margin, v_min)
-    hi_in = np.minimum(v_goal + cfg.margin, v_max)
-    empty = lo_in > hi_in  # goal speed outside the global box: collapse
-    if np.any(empty):
-        point = np.clip(v_goal, v_min, v_max)
-        lo_in = np.where(empty, point, lo_in)
-        hi_in = np.where(empty, point, hi_in)
-    far = e_d >= cfg.r_thresh
+    lo_in = max(v_goal - cfg.margin, v_min)
+    hi_in = min(v_goal + cfg.margin, v_max)
+    if lo_in > hi_in:  # goal speed outside the global box: collapse
+        lo_in = hi_in = min(max(v_goal, v_min), v_max)
     return np.where(far, v_min, lo_in), np.where(far, v_max, hi_in)
-

@@ -1,13 +1,14 @@
 """Task definitions and generators, feature recipes, control mirroring and
 the trained-goal tuple store with nearest-setpoint lookup."""
 
+import dataclasses
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import wrap_angle
-from .reward import Tolerances
+from .reward import Tolerances, goal_errors
 
 VEHICLE = "vehicle"
 PENDULUM = "pendulum"
@@ -77,40 +78,61 @@ class PendulumNorm:
     dtheta_dot: float = 4.0 * math.pi
 
 
-def vehicle_features(x, y, psi, v, task: Task, norm: VehicleNorm, last_raw_steer=None):
-    """Normalized goal-difference features; stacks arrays along the last axis."""
-    gx, gy, gpsi, gv = task.z_goal
-    cols = [(gx - x) / norm.dx,
-            (gy - y) / norm.dy,
-            wrap_angle(gpsi - psi) / norm.dpsi,
-            (gv - v) / norm.dv]
-    if task.feature_recipe == GOAL5:
-        cols.append(last_raw_steer)
-    return np.stack(np.broadcast_arrays(*cols), axis=-1)
+def norm_column(norm):
+    """(4, 1) column of a VehicleNorm's or PendulumNorm's scales."""
+    return np.array([[v] for v in dataclasses.astuple(norm)])
 
 
-def pendulum_features(p, p_dot, theta, theta_dot, norm: PendulumNorm):
-    cols = [p / norm.dp, p_dot / norm.dp_dot, theta / norm.dtheta,
-            theta_dot / norm.dtheta_dot]
-    return np.stack(np.broadcast_arrays(*cols), axis=-1)
+def vehicle_features(z, goal, scale, last_raw_steer=None, out=None):
+    """Normalized goal differences, one row per lane.
+
+    ``z`` holds x, y, psi and v as its rows; ``goal`` and ``scale`` are
+    (4, 1) columns.  The heading difference is wrapped.  With
+    ``last_raw_steer`` the previous raw steering output is the fifth
+    column.  Writes to ``out``, a (lanes, 4 or 5) array, when given.
+    """
+    d = goal - z
+    wrap_angle(d[2], out=d[2])
+    if out is None:
+        out = np.empty((d.shape[1], 4 if last_raw_steer is None else 5))
+    np.divide(d, scale, out=out.T[:4])
+    if last_raw_steer is not None:
+        out[:, 4] = last_raw_steer
+    return out
+
+
+def pendulum_features(z, scale, out=None):
+    """Normalized (p, p_dot, theta, theta_dot) of the state rows ``z``, one
+    row per lane; writes to ``out`` when given."""
+    if out is None:
+        out = np.empty(z.shape[::-1])
+    np.divide(z, scale, out=out.T)
+    return out
+
+
+def _signs(*values):
+    signs = np.array(values)
+    signs.flags.writeable = False
+    return signs
+
+
+# x-axis reflection of the features (y and heading differences and, for
+# the 5-feature recipe, the previous raw steering flip) and of the raw
+# controls (steering flips); multiplying by -1.0 negates exactly
+_MIRROR_FEATURES = {GOAL4: _signs(1.0, -1.0, -1.0, 1.0),
+                    GOAL5: _signs(1.0, -1.0, -1.0, 1.0, -1.0)}
+_MIRROR_CONTROL = _signs(1.0, -1.0)
 
 
 def mirror_features(features, recipe: str):
     """Reflect vehicle features about the x-axis: negate the y and heading
     differences and, for the 5-feature recipe, the previous raw steering."""
-    out = np.array(features, dtype=float, copy=True)
-    out[..., 1] = -out[..., 1]
-    out[..., 2] = -out[..., 2]
-    if recipe == GOAL5:
-        out[..., 4] = -out[..., 4]
-    return out
+    return np.multiply(features, _MIRROR_FEATURES[recipe])
 
 
 def mirror_control(control_raw):
     """Negate the raw steering channel; velocity channel unchanged."""
-    out = np.array(control_raw, dtype=float, copy=True)
-    out[..., 1] = -out[..., 1]
-    return out
+    return np.multiply(control_raw, _MIRROR_CONTROL)
 
 
 def mirror_goal(z_goal):
@@ -177,15 +199,8 @@ def nearest_goal_lookup(setpoint, store, weights=DEFAULT_LOOKUP_WEIGHTS) -> Goal
     """
     if not store:
         raise ValueError("goal-tuple store is empty")
-    sx, sy, spsi, sv = (float(v) for v in setpoint)
+    achieved = np.array([tup.z_hat_goal for tup in store], dtype=float).T
+    point = np.array(setpoint, dtype=float)[:, None]
+    e_d, e_psi, e_v = goal_errors(point, achieved)
     w_d, w_psi, w_v = weights
-    best = None
-    best_dist = math.inf
-    for tup in store:
-        hx, hy, hpsi, hv = tup.z_hat_goal
-        dist = (w_d * math.hypot(hx - sx, hy - sy)
-                + w_psi * abs(float(wrap_angle(hpsi - spsi)))
-                + w_v * abs(hv - sv))
-        if dist < best_dist:
-            best, best_dist = tup, dist
-    return best
+    return store[int(np.argmin(w_d * e_d + w_psi * e_psi + w_v * e_v))]

@@ -3,11 +3,14 @@ per-task rollouts, candidate selection, perturbation-scale adaptation and
 the greedy parameter move.
 
 All candidates of one iteration are evaluated in lockstep with batched
-numpy.  A lane that reaches its goal, crashes or goes non-finite is
+numpy: the rollout state is one (state_dim, lanes) matrix (see ``envs``),
+and what a task's rollout needs at every step is computed once per
+rollout.  A lane that reaches its goal, crashes or goes non-finite is
 dropped from the working arrays at once, so later steps compute only the
-live lanes.  Every batch lane is independent, so neither dropping lanes
-nor splitting the fan-out across worker processes changes a bit: results
-are identical for any batch size and worker count.  Candidate noise is
+live lanes; its step count, path length and reward are written when it
+leaves.  Every batch lane is independent, so neither dropping lanes nor
+splitting the fan-out across worker processes changes a bit: results are
+identical for any batch size and worker count.  Candidate noise is
 derived from a counter-based sub-seed (seed, restart, iteration,
 candidate), which makes runs reproducible for any worker count.
 """
@@ -18,6 +21,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from . import reward
 from . import tasks as tasklib
 from .policy import MlpSpec, forward_layers, init_params, unflatten
 
@@ -62,6 +66,8 @@ class TshcConfig:
             raise ValueError(f"unknown sigma mode {self.sigma_mode!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.rich_weights is not None and not all(w >= 0.0 for w in self.rich_weights):
+            raise ValueError(f"rich_weights must be non-negative, got {self.rich_weights}")
 
 
 @dataclass(frozen=True)
@@ -111,80 +117,89 @@ def batch_rollout(thetas, spec: MlpSpec, task, env, t_max, t_goal,
     """Simulate one task for a batch of parameter vectors in lockstep.
 
     Returns (success, pathlength, reward, crashed, steps, trajectory,
-    terminal states dict), each per lane over the whole batch.  A lane's
-    terminal state is where it reached its goal run, crashed or timed out.
-    ``record`` collects the lane-0 trajectory and requires a batch of one.
+    terminal states), each per lane over the whole batch; the terminal
+    states are a (state_dim, n) matrix, a lane's column holding where it
+    reached its goal run, crashed or timed out.  ``record`` collects the
+    lane-0 trajectory and requires a batch of one.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
     if record and n != 1:
         raise ValueError("trajectory recording needs a batch of one")
     layers = unflatten(thetas, spec)
+    consts = env.constants(task)
     S = env.init_arrays(task, n)
-    terminal = {k: np.empty(n) for k in S}
-    # the working arrays (S, layers, last_raw, run) hold the live lanes
-    # only; ``live`` maps them to their batch rows
+    terminal = np.empty(S.shape)
+    features = np.empty((n, env.feature_dim(task)))
+    if rich_weights is not None:
+        weights = np.asarray(rich_weights, dtype=float)[:, None]
+    # the working arrays (S, layers, last_raw, run and the running path
+    # length and reward) hold the live lanes only; ``live`` maps them to
+    # their batch rows, and a lane's results are written when it retires
     live = np.arange(n)
     last_raw = np.zeros(n)
     run = np.zeros(n, dtype=np.int64)
+    path = np.zeros(n)
+    dense = np.zeros(n)
     success = np.zeros(n, dtype=np.int64)
-    P = np.zeros(n)
-    J = np.zeros(n)
     crashed = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=np.int64)
+    P = np.zeros(n)
+    J = np.zeros(n)
     trajectory = [] if record else None
 
-    def retire(gone):
-        nonlocal live, S, layers, last_raw, run
+    def retire(gone, n_steps):
+        nonlocal live, S, layers, last_raw, run, path, dense
         rows = live[gone]
-        for k, v in S.items():
-            terminal[k][rows] = v[gone]
-        keep = ~gone
+        terminal[:, rows] = S[:, gone]
+        steps[rows] = n_steps
+        P[rows] = path[gone]
+        J[rows] = dense[gone]
+        keep = np.flatnonzero(~gone)
         live = live[keep]
-        S = {k: v[keep] for k, v in S.items()}
+        S = S[:, keep]
         layers = [(w[keep], b[keep]) for w, b in layers]
         last_raw = last_raw[keep]
         run = run[keep]
+        path = path[keep]
+        dense = dense[keep]
 
     for t in range(t_max):
-        goal = env.goal_mask(S, task)
-        run = np.where(goal, run + 1, 0)
-        if rich_weights is None:
-            r_now = -1.0
-        else:
-            r_now = env.rich_values(S, task, rich_weights)
-        # every live lane collects this step's reward, a lane that reaches
-        # its goal run here included
-        J[live] += r_now
+        run = (run + 1) * env.goal_mask(S, consts)
         done = run >= t_goal
-        if done.any():
+        if rich_weights is not None:
+            # every live lane collects this step's reward, a lane that
+            # reaches its goal run here included
+            dense += reward.rich_values(S[:4], consts.goal, weights)
+        if np.count_nonzero(done):
             success[live[done]] = 1
-            retire(done)
+            retire(done, t)
             if not live.size:
                 break
-        feats = env.features_arrays(S, task, last_raw)
+        feats = env.features_arrays(S, consts, last_raw, features[:live.size])
         if mirror:
             feats = tasklib.mirror_features(feats, task.feature_recipe)
         raw = forward_layers(layers, feats)
         if mirror:
             raw = tasklib.mirror_control(raw)
-        S_next, controls, dp, crash = env.apply_arrays(S, raw, task)
-        P[live] += dp
-        crashed[live] = crash
-        steps[live] = t + 1
+        S_next, controls, dp, crash = env.apply_arrays(S, raw, consts)
+        path += dp
         if record:
             # pose before the step plus the control applied when leaving it
-            state_part = env.terminal_state(S, 0)[:5 - env.control_dim]
-            trajectory.append((t,) + state_part
-                              + tuple(float(c) for c in np.atleast_2d(controls)[0]))
+            trajectory.append((t, *S[:5 - env.control_dim, 0].tolist(),
+                               *controls[:, 0].tolist()))
         S = S_next
-        last_raw = raw[..., -1]
-        if crash.any():
-            retire(crash)
+        last_raw = raw[:, -1]
+        if np.count_nonzero(crash):
+            crashed[live[crash]] = True
+            retire(crash, t + 1)
             if not live.size:
                 break
-    for k, v in S.items():  # lanes that timed out
-        terminal[k][live] = v
+    retire(np.ones(live.size, dtype=bool), t_max)  # lanes that timed out
+    if rich_weights is None:
+        # the sparse reward is -1 per goal test: one per step, plus the
+        # test that found a lane's goal run
+        J = (-(steps + success)).astype(float)
     return success, P, J, crashed, steps, trajectory, terminal
 
 
@@ -196,9 +211,8 @@ def rollout(theta, task, env, spec: MlpSpec, t_max, t_goal=1,
     success, P, J, crashed, steps, trajectory, S = batch_rollout(
         theta, spec, task, env, t_max, t_goal,
         rich_weights=rich_weights, record=record, mirror=mirror)
-    terminal = env.terminal_state(S, 0)
+    terminal = tuple(S[:4, 0].tolist())
     if record:
-        trajectory = list(trajectory)
         pad = (trajectory[-1][-env.control_dim:] if trajectory
                else (0.0,) * env.control_dim)
         trajectory.append((int(steps[0]),) + terminal[:5 - env.control_dim] + tuple(pad))
@@ -232,17 +246,22 @@ def _subseed(seed, *key):
     return np.random.SeedSequence(entropy=seed, spawn_key=key)
 
 
-def candidate_theta(theta, sigma, seed, restart, iteration, index):
-    """Reconstruct candidate ``index`` of one fan-out from its counter seed."""
+def candidate_theta(theta, sigma, seed, restart, iteration, index, out=None):
+    """Reconstruct candidate ``index`` of one fan-out from its counter seed,
+    ``theta + sigma * noise``; written to ``out`` (a new array by default)."""
     rng = np.random.default_rng(_subseed(seed, _SEED_PERTURB, restart, iteration, index))
-    return theta + sigma * rng.standard_normal(theta.shape[0])
+    if out is None:
+        out = np.empty(theta.shape[0])
+    rng.standard_normal(out=out)
+    np.multiply(out, sigma, out=out)
+    return np.add(theta, out, out=out)
 
 
 def _eval_chunk(theta, sigma, seed, restart, iteration, lo, hi,
                 task_list, env, spec, t_max, t_goal, rich_weights):
     thetas = np.empty((hi - lo, theta.shape[0]))
     for j, i in enumerate(range(lo, hi)):
-        thetas[j] = candidate_theta(theta, sigma, seed, restart, iteration, i)
+        candidate_theta(theta, sigma, seed, restart, iteration, i, out=thetas[j])
     return evaluate_batch(thetas, task_list, env, spec, t_max, t_goal,
                           rich_weights=rich_weights)
 

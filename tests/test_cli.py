@@ -206,6 +206,30 @@ def test_malformed_checkpoint_env_is_an_error(tmp_path, capsys):
         assert message.startswith("error:") and "bogus" in message
 
 
+def test_incomplete_checkpoint_is_an_error(tmp_path, capsys):
+    # a checkpoint missing a key replay and plot read fails with an error
+    # line naming the key, not a traceback
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    complete = (out / "checkpoint_seed3.json").read_text()
+    ckpt = out / "incomplete.json"
+    tasks = str(out / "tasks_seed3.json")
+    for key in artifacts.CHECKPOINT_KEYS:
+        ckpt.write_text(complete)
+        edit_checkpoint(ckpt, lambda doc: doc.pop(key))
+        capsys.readouterr()
+        for argv in (["replay", str(ckpt), "--task", "freeform", "--tasks", tasks],
+                     ["replay", str(ckpt), "--setpoint", "0,0,0,0"],
+                     ["plot", "--checkpoint", str(ckpt), "--tasks", tasks,
+                      "-o", str(tmp_path / "p.svg")]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, (key, argv)
+            message = capsys.readouterr().err
+            assert message.startswith("error:") and key in message, (key, message)
+    assert "normalization" in artifacts.CHECKPOINT_KEYS
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_replay_setpoint_tolerance_fallback_is_published_default(tmp_path, monkeypatch):
     # a checkpoint without replay tolerances serves setpoints with the
     # published vehicle tolerances (0.25 m, 1 deg, 5 km/h)

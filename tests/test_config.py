@@ -153,6 +153,18 @@ def test_bad_training_values_surface_with_context(tmp_path):
         load_run_config(write(tmp_path, bad))
 
 
+def test_negative_rich_weights_are_rejected(tmp_path):
+    # a negative weight would reward moving away from the goal; a weight
+    # that is not a number is a config error too
+    for weights in ("[-1, 0, 0, 0]", "[1, 1, -0.5, 1]", "[1, .nan, 1, 1]", "[1, abc, 1, 1]"):
+        bad = VEHICLE_YAML.replace("  sigma_max: 10\n",
+                                   f"  sigma_max: 10\n  rich_weights: {weights}\n")
+        with pytest.raises(ConfigError, match="rich_weights"):
+            load_run_config(write(tmp_path, bad))
+    ok = VEHICLE_YAML.replace("  sigma_max: 10\n", "  sigma_max: 10\n  rich_weights: [1, 0, 2, 0]\n")
+    assert load_run_config(write(tmp_path, ok)).training.rich_weights == (1.0, 0.0, 2.0, 0.0)
+
+
 def test_workers_override_wins(tmp_path):
     run = load_run_config(write(tmp_path, VEHICLE_YAML), workers=4)
     assert run.training.workers == 4

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tshc.dynamics import ActuatorLimits, Control, clamp_controls
-from tshc.policy import (MlpSpec, affine_scale, control_intervals, forward_layers,
-                         init_params, param_count, unflatten)
+from tshc.policy import (MlpSpec, affine_scale, control_bounds, control_intervals,
+                         forward_layers, init_params, param_count, unflatten)
 from tshc.trainer import candidate_theta
 
 LIM = ActuatorLimits()
@@ -166,9 +166,10 @@ def test_affine_scale_endpoints_exact():
 
 def scale_outputs(raw, prev: Control, vvc_box, Ts):
     """The control step of VehicleEnv.apply_arrays for one lane."""
-    (v_lo, v_hi), (d_lo, d_hi) = control_intervals(prev.v, prev.delta, LIM, Ts, vvc_box)
-    return Control(float(affine_scale(raw[0], v_lo, v_hi)),
-                   float(affine_scale(raw[1], d_lo, d_hi)))
+    lo, hi = control_intervals(np.array([[prev.v], [prev.delta]]),
+                               control_bounds(LIM, Ts), vvc_box)
+    v, delta = affine_scale(np.asarray(raw)[:, None], lo, hi)[:, 0].tolist()
+    return Control(v, delta)
 
 
 def test_scale_outputs_box_corners_and_midpoint():
@@ -210,7 +211,16 @@ def test_scale_then_clamp_is_noop(r0, r1, prev_v, prev_d):
 
 
 def test_control_intervals_shapes():
-    (v_lo, v_hi), (d_lo, d_hi) = control_intervals(
-        np.zeros(4), np.zeros(4), LIM, 0.01, None)
-    assert np.shape(v_lo) == (4,) and np.shape(d_hi) == (4,)
-    assert np.all(v_lo <= v_hi) and np.all(d_lo <= d_hi)
+    lo, hi = control_intervals(np.zeros((2, 4)), control_bounds(LIM, 0.01), None)
+    assert lo.shape == hi.shape == (2, 4)
+    assert np.all(lo <= hi)
+    # the VVC box narrows the velocity row only
+    lo, hi = control_intervals(np.zeros((2, 4)), control_bounds(LIM, 0.01),
+                               (np.full(4, 0.01), np.full(4, 0.02)))
+    assert lo[0].tolist() == [0.01] * 4 and hi[0].tolist() == [0.02] * 4
+    assert lo[1].tolist() == [LIM.deltadot_min * 0.01] * 4
+    # the bound columns hold the absolute limits and the rates times Ts
+    assert [c[:, 0].tolist() for c in control_bounds(LIM, 0.1)] == [
+        [LIM.v_min, LIM.delta_min], [LIM.v_max, LIM.delta_max],
+        [LIM.vdot_min * 0.1, LIM.deltadot_min * 0.1],
+        [LIM.vdot_max * 0.1, LIM.deltadot_max * 0.1]]

@@ -7,21 +7,22 @@ from hypothesis import given, strategies as st
 from tshc.dynamics import ActuatorLimits, VehicleParams
 from tshc.envs import VehicleEnv
 from tshc.reward import (Reward, Tolerances, VVC_CONSTANT, VVC_OFF, VVC_SPATIAL,
-                         VvcConfig, sparse_reward, vvc_bounds)
+                         VvcConfig, rich_values, sparse_reward, vvc_bounds)
 from tshc.tasks import freeform_task
 
 TOL = Tolerances(0.25, math.radians(1.0), 5.0 / 3.6)
 
 
 def vehicle_state(x, y, psi, v):
-    return {"x": np.array([x]), "y": np.array([y]), "psi": np.array([psi]),
-            "v_prev": np.array([v]), "delta_prev": np.zeros(1)}
+    """One-lane vehicle state matrix: x, y, psi, v_prev, delta_prev rows."""
+    return np.array([[x], [y], [psi], [v], [0.0]])
 
 
 def goal_flag(state, goal):
     """The goal test the trainer runs: VehicleEnv.goal_mask on one lane."""
     task = freeform_task((0.0, 0.0, 0.0, 0.0), goal, TOL)
-    return bool(VehicleEnv().goal_mask(vehicle_state(*state), task)[0])
+    env = VehicleEnv()
+    return bool(env.goal_mask(vehicle_state(*state), env.constants(task))[0])
 
 
 # ----------------------------------------------------------------- goal test
@@ -76,7 +77,8 @@ FAR_TASK = freeform_task((0.0, 0.0, 0.0, 0.0), (50.0, 0.0, 0.0, 0.0), TOL)
 
 def step_dp(env, state, raw):
     """Pathlength increment dp of one VehicleEnv.apply_arrays step."""
-    _, _, dp, _ = env.apply_arrays(vehicle_state(*state), np.array([raw]), FAR_TASK)
+    _, _, dp, _ = env.apply_arrays(vehicle_state(*state), np.array([raw]),
+                                   env.constants(FAR_TASK))
     return float(dp[0])
 
 
@@ -94,10 +96,11 @@ def test_pathlength_triangle_inequality():
     rng = np.random.default_rng(0)
     S = vehicle_state(0.0, 0.0, 0.0, 0.0)
     total = 0.0
+    k = env.constants(FAR_TASK)
     for raw in rng.uniform(-1.0, 1.0, size=(20, 2)):
-        S, _, dp, _ = env.apply_arrays(S, raw[None, :], FAR_TASK)
+        S, _, dp, _ = env.apply_arrays(S, raw[None, :], k)
         total += float(dp[0])
-    straight = math.hypot(float(S["x"][0]), float(S["y"][0]))
+    straight = math.hypot(float(S[0, 0]), float(S[1, 0]))
     assert straight > 0.0
     assert -total >= straight - 1e-12
 
@@ -170,11 +173,19 @@ def test_vvc_config_validation():
 
 # ------------------------------------------------------------- rich reward
 
+def rich(state, goal, weights):
+    return rich_values(np.array(state, dtype=float)[:, None],
+                       np.array(goal)[:, None], np.array(weights, dtype=float)[:, None])
+
+
 def test_rich_reward_values():
-    env = VehicleEnv()
-    task = freeform_task((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 0.5, 3.0), TOL)
-    at_goal = vehicle_state(1.0, 2.0, 0.5 + 2.0 * math.pi, 3.0)  # heading wraps
-    assert env.rich_values(at_goal, task, (1.0, 1.0, 1.0, 1.0))[0] == \
+    goal = (1.0, 2.0, 0.5, 3.0)
+    at_goal = (1.0, 2.0, 0.5 + 2.0 * math.pi, 3.0)  # heading wraps
+    assert rich(at_goal, goal, (1.0, 1.0, 1.0, 1.0))[0] == pytest.approx(0.0, abs=1e-15)
+    assert rich((2.0, 2.0, 0.5, 3.0), goal, (2.0, 1.0, 1.0, 1.0))[0] == -2.0
+    # the third row is an angle for either plant: a cart-pole state one
+    # full turn from upright scores as upright
+    assert rich((0.0, 0.0, 2.0 * math.pi, 0.0), (0.0,) * 4, (1.0,) * 4)[0] == \
         pytest.approx(0.0, abs=1e-15)
-    off = vehicle_state(2.0, 2.0, 0.5, 3.0)
-    assert env.rich_values(off, task, (2.0, 1.0, 1.0, 1.0))[0] == -2.0
+    assert rich((1.0, -2.0, 0.0, 0.5), (0.0,) * 4, (1.0, 0.5, 1.0, 4.0))[0] == -4.0
+

@@ -7,8 +7,8 @@ from tshc.reward import Tolerances
 from tshc.tasks import (GOAL4, GOAL5, PENDULUM4, GoalTuple, PendulumNorm, Task,
                         VEHICLE, VehicleNorm, freeform_task, heading_grid,
                         mirror_control, mirror_features, mirror_goal, mirror_task,
-                        nearest_goal_lookup, pendulum_features, pendulum_tasks,
-                        vehicle_features)
+                        nearest_goal_lookup, norm_column, pendulum_features,
+                        pendulum_tasks, vehicle_features)
 
 TOL = Tolerances(0.25, math.radians(1.0), 5.0 / 3.6)
 
@@ -34,30 +34,58 @@ def test_freeform_task_defaults():
 
 # ------------------------------------------------------------------ features
 
+def column(*values):
+    return np.array(values, dtype=float)[:, None]
+
+
+def goal4(z, task, last_raw_steer=None):
+    return vehicle_features(column(*z), column(*task.z_goal), norm_column(VehicleNorm()),
+                            last_raw_steer)
+
+
 def test_goal4_features_hand_value():
     t = freeform_task((0, 0, 0, 0), (20.0, 10.0, math.pi / 2, 5.0))
-    f = vehicle_features(10.0, 5.0, 0.0, 2.5, t, VehicleNorm())
-    assert np.allclose(f, [0.5, 0.25, 0.5, 0.25], atol=1e-15)
+    f = goal4((10.0, 5.0, 0.0, 2.5), t)
+    assert f.shape == (1, 4) and f.flags.c_contiguous
+    assert np.allclose(f, [[0.5, 0.25, 0.5, 0.25]], atol=1e-15)
 
 
 def test_goal5_features_append_last_raw_steer():
     t = heading_grid(10, 90)[3]
-    f = vehicle_features(0.0, 0.0, 0.0, 0.0, t, VehicleNorm(), 0.7)
-    assert f.shape == (5,)
-    assert f[4] == 0.7
-    assert f[2] == pytest.approx(math.radians(30) / math.pi)
+    f = goal4((0.0, 0.0, 0.0, 0.0), t, np.array([0.7]))
+    assert f.shape == (1, 5)
+    assert f[0, 4] == 0.7
+    assert f[0, 2] == pytest.approx(math.radians(30) / math.pi)
 
 
 def test_feature_heading_difference_wraps():
     t = freeform_task((0, 0, 0, 0), (0.0, 0.0, math.radians(170), 0.0))
-    f = vehicle_features(0.0, 0.0, math.radians(-170), 0.0, t, VehicleNorm())
+    f = goal4((0.0, 0.0, math.radians(-170), 0.0), t)
     # shortest signed difference is -20 deg, not +340 deg
-    assert f[2] == pytest.approx(math.radians(-20) / math.pi)
+    assert f[0, 2] == pytest.approx(math.radians(-20) / math.pi)
+
+
+def test_features_fill_the_given_buffer_lane_by_lane():
+    # lanes are rows of the (lanes, k) result; a preallocated buffer is
+    # written in place and matches a fresh result bit for bit
+    t = heading_grid(10, 90)[3]
+    rng = np.random.default_rng(1)
+    z = rng.normal(0.0, 2.0, (4, 3))
+    goal, scale = column(*t.z_goal), norm_column(VehicleNorm())
+    last = rng.uniform(-1.0, 1.0, 3)
+    out = np.empty((3, 5))
+    assert vehicle_features(z, goal, scale, last, out) is out
+    for i in range(3):
+        one = vehicle_features(z[:, i:i + 1], goal, scale, last[i:i + 1])
+        assert out[i:i + 1].tobytes() == one.tobytes()
+    p = pendulum_features(z, norm_column(PendulumNorm()), np.empty((3, 4)))
+    assert p.tolist() == (z / norm_column(PendulumNorm())).T.tolist()
 
 
 def test_pendulum_features_hand_value():
-    f = pendulum_features(1.2, 1.5, math.pi / 2, 2.0 * math.pi, PendulumNorm())
-    assert np.allclose(f, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+    f = pendulum_features(column(1.2, 1.5, math.pi / 2, 2.0 * math.pi),
+                          norm_column(PendulumNorm()))
+    assert np.allclose(f, [[0.5, 0.5, 0.5, 0.5]], atol=1e-15)
 
 
 # ----------------------------------------------------------------- mirroring

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from tshc.dynamics import PendulumParams, VehicleParams
 from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.policy import MlpSpec, init_params, param_count
-from tshc.reward import Tolerances
+from tshc.reward import VVC_CONSTANT, VVC_SPATIAL, Tolerances, VvcConfig
 from tshc.tasks import (GOAL5, PENDULUM, PENDULUM4, Task, freeform_task,
                         heading_grid, mirror_task, pendulum_tasks)
 from tshc.trainer import (BestSolution, CandidateScore, TshcConfig, adapt_sigma,
@@ -131,9 +132,9 @@ def _finish_kind(success, crashed, steps):
 
 def _on_track(env, S):
     if env.kind == "pendulum":
-        return abs(S["p"][0]) <= env.params.p_limit
+        return abs(S[0, 0]) <= env.params.p_limit
     xmin, ymin, xmax, ymax = env.params.workspace
-    return xmin <= S["x"][0] <= xmax and ymin <= S["y"][0] <= ymax
+    return xmin <= S[0, 0] <= xmax and ymin <= S[1, 0] <= ymax
 
 
 def test_batch_rollout_compaction_is_lane_exact():
@@ -169,14 +170,12 @@ def test_batch_rollout_compaction_is_lane_exact():
                                             t_goal, rich_weights=rich, mirror=mirror)
                         for a, b in zip(out[:5], one[:5]):
                             assert a[i:i + 1].tobytes() == b.tobytes()
-                        assert out[6].keys() == one[6].keys()
-                        for k in one[6]:
-                            assert out[6][k][i:i + 1].tobytes() == one[6][k].tobytes()
+                        end = out[6][:, i:i + 1]
+                        assert end.tobytes() == one[6].tobytes()
                         kind = _finish_kind(out[0][i], out[3][i], out[4][i])
                         # a lane stops where it met its goal or left the track
-                        end = {k: v[i:i + 1] for k, v in out[6].items()}
                         if kind.startswith("goal"):
-                            assert env.goal_mask(end, task)[0]
+                            assert env.goal_mask(end, env.constants(task))[0]
                         elif kind == "crash":
                             assert not _on_track(env, end)
                         batch_kinds.add(kind)
@@ -187,7 +186,8 @@ def test_batch_rollout_compaction_is_lane_exact():
 
 
 class ScriptedGoalEnv:
-    """One-lane env whose goal test at step t reads flags[t] (0 past the end)."""
+    """One-lane env whose goal test at step t reads flags[t] (0 past the end);
+    its state is the step count."""
 
     kind = "scripted"
     control_dim = 1
@@ -195,19 +195,25 @@ class ScriptedGoalEnv:
     def __init__(self, flags):
         self.flags = flags
 
+    def feature_dim(self, task):
+        return 1
+
+    def constants(self, task):
+        return task
+
     def init_arrays(self, task, n):
-        return {"t": np.zeros(n)}
+        return np.zeros((1, n))
 
-    def goal_mask(self, S, task):
-        t = int(S["t"][0])
-        return np.full(S["t"].shape, t < len(self.flags) and self.flags[t] == 1)
+    def goal_mask(self, S, c):
+        t = int(S[0, 0])
+        return np.full(S.shape[1], t < len(self.flags) and self.flags[t] == 1)
 
-    def features_arrays(self, S, task, last_raw):
-        return np.zeros(S["t"].shape + (1,))
+    def features_arrays(self, S, c, last_raw, out=None):
+        return np.zeros((S.shape[1], 1))
 
-    def apply_arrays(self, S, raw, task):
-        n = S["t"].shape
-        return {"t": S["t"] + 1}, raw, np.zeros(n), np.zeros(n, dtype=bool)
+    def apply_arrays(self, S, raw, c):
+        n = S.shape[1]
+        return S + 1, raw.T, np.zeros(n), np.zeros(n, dtype=bool)
 
 
 def test_batch_rollout_goal_run_resets():
@@ -523,6 +529,24 @@ def test_candidate_theta_counter_seeding():
     assert not np.array_equal(a, c)
 
 
+def test_candidate_theta_fills_rows_in_place():
+    # the fan-out writes each candidate into its row of one matrix; the rows
+    # must be the vectors candidate_theta returns, and theta + sigma * noise
+    # of the candidate's own stream, bit for bit
+    rng = np.random.default_rng(8)
+    theta = rng.normal(0.0, 1.0, 66)
+    rows = np.full((5, 66), np.nan)
+    for i in range(5):
+        assert candidate_theta(theta, 3.5, 2, 4, 6, i, out=rows[i]) is not None
+    for i in range(5):
+        alone = candidate_theta(theta, 3.5, 2, 4, 6, i)
+        assert rows[i].tobytes() == alone.tobytes()
+        noise = np.random.default_rng(
+            np.random.SeedSequence(entropy=2, spawn_key=(2, 4, 6, i))).standard_normal(66)
+        assert alone.tobytes() == (theta + 3.5 * noise).tobytes()
+    assert np.array_equal(theta, np.random.default_rng(8).normal(0.0, 1.0, 66))
+
+
 def test_evaluate_batch_order_matches_candidate_indices():
     env = small_env()
     task = freeform_task((0, 0, 0, 0), (1, 0, 0, 0))
@@ -532,3 +556,73 @@ def test_evaluate_batch_order_matches_candidate_indices():
     split = (evaluate_batch(thetas[:2], [task], env, SPEC4, 15, 1)
              + evaluate_batch(thetas[2:], [task], env, SPEC4, 15, 1))
     assert whole == split
+
+
+# ------------------------------------------------------------- golden bits
+
+def _golden_cases():
+    """(name, env, tasks, t_max, mirror options, rich options) per digest."""
+    obstacle = (1.4, -0.3, 1.8, 0.3)
+    box = dict(Ts=0.1, workspace=(-4.0, -4.0, 5.0, 4.0), obstacles=(obstacle,))
+    vtol = Tolerances(0.5, 0.5, 3.0)
+    vehicle_tasks = [freeform_task((0, 0, 0, 0), (1.0, 0, 0, 0), vtol, task_id="ahead"),
+                     freeform_task((0, 0, 0.3, 1.0), (0.8, 0.6, 0.5, 2.0), vtol, GOAL5,
+                                   task_id="diag"),
+                     freeform_task((0, 0, 0, 0), (1.0, -0.5, -0.4, 12.0), vtol, GOAL5,
+                                   task_id="fast-goal")]
+    rich = (None, (1.0, 2.0, 0.5, 0.1))
+    both = (False, True)
+    return [
+        ("pendulum", PendulumEnv(PendulumParams(p_limit=1.0)),
+         [pendulum_tasks("swingup")[0],
+          Task("tilted", PENDULUM, (0, 0, 0.4, 0), (0, 0, 0, 0),
+               Tolerances(1.0, 0.2, 1.0), PENDULUM4)], 60, (False,), rich),
+        ("vehicle-vvc-off", VehicleEnv(VehicleParams(**box)),
+         vehicle_tasks, 25, both, rich),
+        ("vehicle-vvc-spatial",
+         VehicleEnv(VehicleParams(**box), vvc=VvcConfig(VVC_SPATIAL, r_thresh=0.8)),
+         vehicle_tasks, 25, both, rich),
+        ("vehicle-vvc-constant",
+         VehicleEnv(VehicleParams(**box), vvc=VvcConfig(VVC_CONSTANT, r_thresh=0.8)),
+         vehicle_tasks, 25, both, rich),
+    ]
+
+
+# sha256 per case, recorded on the dict-state rollout that the state matrix
+# replaced: a match means the refactor moved no bit
+GOLDEN = {
+    "pendulum": "e7ee97c8def09d3512485959a856ce3dad2a5cb244c21e1749a39a36b350184f",
+    "vehicle-vvc-off": "6fc6800de9263e361500c349bb015dd0cb8c7e907a39c11d9e0da3965c31928d",
+    "vehicle-vvc-spatial": "51437f1154221ee4708876c94bfdcf83a75d3c558187d54e047ade9a7ec8b9ef",
+    "vehicle-vvc-constant": "05c396ee1cfc9a14bb260d12535c816ef25b5eb7cff8af1cbb598460554c14f7",
+}
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _golden_cases()])
+def test_batch_rollout_golden_bits(case):
+    # every output of batch_rollout, the terminal states and a recorded
+    # replay, hashed; any change to the arithmetic of a rollout step moves
+    # a bit somewhere in here
+    name, env, task_list, t_max, mirrors, riches = next(
+        c for c in _golden_cases() if c[0] == case)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    h = hashlib.sha256()
+    kinds = set()
+    for task in task_list:
+        spec = MlpSpec((env.feature_dim(task), 6, env.control_dim))
+        thetas = (rng.normal(0.0, 1.0, (12, param_count(spec)))
+                  * np.geomspace(0.01, 3.0, 12)[:, None])
+        for rich_weights in riches:
+            for t_goal in (1, 3):
+                for mirror in mirrors:
+                    out = batch_rollout(thetas, spec, task, env, t_max, t_goal,
+                                        rich_weights=rich_weights, mirror=mirror)
+                    for a in out[:5]:
+                        h.update(a.tobytes())
+                    h.update(out[6].tobytes())
+                    kinds |= {_finish_kind(*f) for f in zip(out[0], out[3], out[4])}
+        for mirror in mirrors:
+            res = rollout(thetas[-3], task, env, spec, t_max, record=True, mirror=mirror)
+            h.update(np.array(res.trajectory, dtype=float).tobytes())
+    assert {"goal run", "crash", "timeout"} <= kinds
+    assert h.hexdigest() == GOLDEN[name]
