@@ -116,6 +116,10 @@ def read_checkpoint(path):
     if missing:
         raise ValueError(f"{path}: checkpoint has no {', '.join(missing)}")
     doc["theta"] = np.asarray(doc["theta"], dtype=float)
+    for i, g in enumerate(doc["goal_tuples"]):
+        for key in ("achieved", "commanded"):
+            if key not in g:
+                raise ValueError(f"{path}: checkpoint goal_tuples[{i}] has no {key}")
     doc["goal_tuples"] = [
         tasklib.GoalTuple(tuple(g["achieved"]), tuple(g["commanded"]),
                           g.get("task_id", ""))

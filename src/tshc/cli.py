@@ -37,7 +37,7 @@ def cmd_train(args):
     try:
         run = load_run_config(args.config, workers=args.workers,
                               output_dir=args.output_dir)
-    except (ConfigError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError included
         _fail(exc)
     out = run.output_dir
     os.makedirs(out, exist_ok=True)

@@ -188,12 +188,12 @@ def _build_pendulum_env(doc, norm_doc):
                 {"kind"}, "env")
     d = PendulumParams()
     params = PendulumParams(
-        m_cart=float(doc.get("cart_mass", d.m_cart)),
-        m_pole=float(doc.get("pole_mass", d.m_pole)),
+        m_cart=parse_quantity(doc.get("cart_mass", d.m_cart), "plain", "env.cart_mass"),
+        m_pole=parse_quantity(doc.get("pole_mass", d.m_pole), "plain", "env.pole_mass"),
         half_length=parse_quantity(doc.get("pole_half_length", d.half_length),
                                    "length", "env.pole_half_length"),
-        g=float(doc.get("gravity", d.g)),
-        f_max=float(doc.get("force_max", d.f_max)),
+        g=parse_quantity(doc.get("gravity", d.g), "plain", "env.gravity"),
+        f_max=parse_quantity(doc.get("force_max", d.f_max), "plain", "env.force_max"),
         Ts=parse_quantity(doc.get("sampling_time", d.Ts), "time", "env.sampling_time"),
         p_limit=parse_quantity(doc.get("track_limit", d.p_limit), "length",
                                "env.track_limit"))

@@ -83,6 +83,11 @@ class PendulumParams:
     Ts: float = 0.02
     p_limit: float = 2.4  # track half-length; leaving it counts as a crash
 
+    def __post_init__(self):
+        for name in ("m_cart", "m_pole", "half_length", "Ts", "f_max", "p_limit"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class PendulumState:
@@ -103,16 +108,7 @@ def rate_limited_interval(prev, abs_min, abs_max, step_min, step_max):
     absolute box.  Works elementwise on arrays, such as the v and delta
     rows of a (2, lanes) array with (2, 1) bound columns.
     """
-    rate_lo = prev + step_min
-    rate_hi = prev + step_max
-    lo = np.maximum(rate_lo, abs_min)
-    hi = np.minimum(rate_hi, abs_max)
-    empty = lo > hi
-    if np.count_nonzero(empty):
-        nearest = np.where(rate_lo > abs_max, rate_lo, rate_hi)
-        lo = np.where(empty, nearest, lo)
-        hi = np.where(empty, nearest, hi)
-    return lo, hi
+    return intersect_interval(prev + step_min, prev + step_max, abs_min, abs_max)
 
 
 def intersect_interval(lo, hi, other_lo, other_hi):

@@ -18,6 +18,7 @@ candidate), which makes runs reproducible for any worker count.
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,10 @@ class RolloutResult:
     terminal: tuple | None = None
 
 
-@dataclass(frozen=True)
-class CandidateScore:
+class CandidateScore(NamedTuple):
+    """One candidate's scores over all tasks: a row of the (n, 4) score
+    array of a fan-out, whose columns are these fields in this order."""
+
     n_solved: int
     pathlength: float
     reward: float
@@ -223,23 +226,20 @@ def rollout(theta, task, env, spec: MlpSpec, t_max, t_goal=1,
 
 def evaluate_batch(thetas, task_list, env, spec, t_max, t_goal,
                    rich_weights=None):
-    """CandidateScore per batch row, summed over all tasks."""
+    """Scores of each batch row summed over all tasks: an (n, 4) float array
+    with the ``CandidateScore`` columns n_solved, pathlength, reward and
+    crashed (0 or 1, set if the candidate crashed on any task)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    n = thetas.shape[0]
-    n_solved = np.zeros(n, dtype=np.int64)
-    P = np.zeros(n)
-    J = np.zeros(n)
-    crashed = np.zeros(n, dtype=bool)
+    scores = np.zeros((thetas.shape[0], 4))
     for task in task_list:
         s, p, j, c, _, _, _ = batch_rollout(
             thetas, spec, task, env, task.t_max or t_max, task.t_goal or t_goal,
             rich_weights=rich_weights)
-        n_solved += s
-        P += p
-        J += j
-        crashed |= c
-    return [CandidateScore(int(n_solved[i]), float(P[i]), float(J[i]),
-                           bool(crashed[i])) for i in range(n)]
+        scores[:, 0] += s
+        scores[:, 1] += p
+        scores[:, 2] += j
+        scores[:, 3] = np.logical_or(scores[:, 3], c)
+    return scores
 
 
 def _subseed(seed, *key):
@@ -266,53 +266,51 @@ def _eval_chunk(theta, sigma, seed, restart, iteration, lo, hi,
                           rich_weights=rich_weights)
 
 
-def _j_key(n_solved, pathlength, reward, crashed):
-    # crash sentinel orders below every finite value; among crashed
-    # candidates compare task count, then pathlength
-    if crashed:
-        return (0, n_solved, pathlength)
-    return (1, reward, 0.0)
+def _first_max(values, mask):
+    # index of the largest value where mask holds, the lowest one on ties
+    rows = np.flatnonzero(mask)
+    return int(rows[np.argmax(values[rows])])
 
 
-def select_best(scores, current_best: BestSolution, n_tasks, thetas=None):
+def select_best(scores, current_best: BestSolution, n_tasks):
     """Candidate choice and global-best update of one fan-out.
 
-    Returns (i_star, updated best, n_tasks_star).  If any candidate solves
-    all tasks the winner maximizes pathlength among full solvers and the
-    global best improves on a strictly better pathlength; otherwise the
-    winner maximizes accumulated reward and the global best improves only
-    while no full solution has ever been recorded.  Ties keep the lowest
-    candidate index.
+    ``scores`` is the (n, 4) array of ``evaluate_batch`` or a sequence of
+    ``CandidateScore``.  Returns (i_star, updated best, n_tasks_star).  If
+    any candidate solves all tasks, the winner is the full solver with the
+    largest pathlength, and the global best improves on a strictly larger
+    pathlength.  Otherwise, if any candidate never crashed, the winner has
+    the highest reward among those, and the global best improves on a
+    strictly higher reward while no full solution has been recorded.  If
+    all crashed, the winner has the largest pathlength among those with the
+    most solved tasks.  Ties keep the lowest candidate index; when nothing
+    improves, ``current_best`` itself is returned.
+
+    ``argmax`` matches a strict ``>`` scan only without NaN, and no score
+    is NaN: a lane is dropped the step its state goes non-finite, and the
+    position rows that feed a step's path length and reward come from the
+    previous, finite state.  So pathlength and reward are finite or -inf,
+    and a tie at -inf keeps the lowest index too.
     """
-    if not scores:
+    scores = np.asarray(scores, dtype=float)
+    if not len(scores):
         raise ValueError("scores must be non-empty")
+    n_solved, path, rew, crashed = scores.T
     best = current_best
-    full = [i for i, s in enumerate(scores) if s.n_solved == n_tasks]
-    if full:
-        i_star = full[0]
-        for i in full[1:]:
-            if scores[i].pathlength > scores[i_star].pathlength:
-                i_star = i
-        s = scores[i_star]
-        if best.pathlength is None or s.pathlength > best.pathlength:
-            best = BestSolution(
-                theta=None if thetas is None else np.array(thetas[i_star]),
-                n_solved=n_tasks, pathlength=s.pathlength, reward=s.reward)
+    full = n_solved == n_tasks
+    if full.any():
+        i_star = _first_max(path, full)
+        if best.pathlength is None or path[i_star] > best.pathlength:
+            best = BestSolution(n_solved=n_tasks, pathlength=float(path[i_star]),
+                                reward=float(rew[i_star]))
+    elif not crashed.all():
+        i_star = _first_max(rew, crashed == 0)
+        if best.pathlength is None and rew[i_star] > best.reward:
+            best = BestSolution(n_solved=int(n_solved[i_star]), pathlength=None,
+                                reward=float(rew[i_star]))
     else:
-        i_star = 0
-        for i in range(1, len(scores)):
-            a, b = scores[i], scores[i_star]
-            if _j_key(a.n_solved, a.pathlength, a.reward, a.crashed) > \
-               _j_key(b.n_solved, b.pathlength, b.reward, b.crashed):
-                i_star = i
-        s = scores[i_star]
-        if best.pathlength is None and \
-           _j_key(s.n_solved, s.pathlength, s.reward, s.crashed) > \
-           _j_key(best.n_solved, 0.0, best.reward, False):
-            best = BestSolution(
-                theta=None if thetas is None else np.array(thetas[i_star]),
-                n_solved=s.n_solved, pathlength=None, reward=s.reward)
-    return i_star, best, scores[i_star].n_solved
+        i_star = _first_max(path, n_solved == n_solved.max())
+    return i_star, best, int(n_solved[i_star])
 
 
 def adapt_sigma(sigma, n_new, n_old, beta, sigma_min, sigma_max):
@@ -380,11 +378,10 @@ def tshc_run(cfg: TshcConfig, task_list, env, policy_spec: MlpSpec,
                     best.iteration = iteration
                     if on_improved is not None:
                         on_improved(best)
+                _, path, rew, crashed = scores[i_star].tolist()
                 record = IterationRecord(
-                    restart, iteration, float(sigma), n_star,
-                    scores[i_star].pathlength, scores[i_star].reward,
-                    scores[i_star].crashed, improved,
-                    time.monotonic() - t0)
+                    restart, iteration, float(sigma), n_star, path, rew,
+                    bool(crashed), improved, time.monotonic() - t0)
                 history.append(record)
                 if on_iteration is not None:
                     on_iteration(record)
@@ -412,7 +409,4 @@ def _fan_out(pool, cfg, theta, sigma, restart, iteration, task_list, env, spec):
     bounds = np.linspace(0, n, min(cfg.workers, n) + 1, dtype=int)
     jobs = [args + (int(lo), int(hi)) + static
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    scores = []
-    for chunk in pool.starmap(_eval_chunk, jobs):
-        scores.extend(chunk)
-    return scores
+    return np.concatenate(pool.starmap(_eval_chunk, jobs))

@@ -79,6 +79,47 @@ def test_train_config_error_exits_two(tmp_path):
     assert err.value.code == 2
 
 
+PENDULUM_YAML = """
+seed: 3
+policy:
+  layer_sizes: [4, 8, 1]
+env:
+  kind: pendulum
+tasks:
+  generator: pendulum
+  kind: swingup
+training:
+  n_restarts: 1
+  n_iter_max: 1
+  n_candidates: 2
+  t_max: 10
+"""
+
+
+@pytest.mark.parametrize("text", [
+    PENDULUM_YAML.replace("kind: pendulum", "kind: pendulum\n  cart_mass: heavy"),
+    PENDULUM_YAML.replace("kind: swingup", "kind: bogus"),
+    PENDULUM_YAML.replace("kind: swingup", "kind: swingup\n  t_goal: x"),
+    TRIVIAL_YAML.replace("z_goal: [0, 0, 0, 0]",
+                         "z_goal: [0, 0, 0, 0]\n  tolerances: {d: -1, psi: 1, v: 1}"),
+    TRIVIAL_YAML.replace("z_goal: [0, 0, 0, 0]",
+                         "z_goal: [0, 0, 0, 0]\n  feature_recipe: bogus"),
+    TRIVIAL_YAML.replace("kind: vehicle", 'kind: vehicle\n  workspace: [0, 0, "a", 1]'),
+    TRIVIAL_YAML.replace("kind: vehicle", "kind: vehicle\n  workspace: [0, 0, 0, 1]"),
+    TRIVIAL_YAML.replace("kind: vehicle", "kind: vehicle\n  limits: {v: [5, -5]}"),
+], ids=["cart_mass", "pendulum_kind", "t_goal", "tolerance", "feature_recipe",
+        "workspace_entry", "degenerate_workspace", "limits"])
+def test_train_invalid_config_value_exits_two(tmp_path, capsys, text):
+    # a value the config builders reject is an error line and exit 2, not
+    # a traceback with exit 1 (the "not every task solved" code)
+    path = write_config(tmp_path, text)
+    with pytest.raises(SystemExit) as err:
+        main(["train", path, "--output-dir", str(tmp_path / "o"), "--workers", "1"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
 def test_replay_task_produces_csv_and_summary(tmp_path):
     _, out = train(tmp_path, TRIVIAL_YAML)
     code = main(["replay", str(out / "checkpoint_seed3.json"),
@@ -207,15 +248,19 @@ def test_malformed_checkpoint_env_is_an_error(tmp_path, capsys):
 
 
 def test_incomplete_checkpoint_is_an_error(tmp_path, capsys):
-    # a checkpoint missing a key replay and plot read fails with an error
-    # line naming the key, not a traceback
+    # a checkpoint missing a key replay and plot read, or a goal tuple
+    # missing one of its points, fails with an error line naming the key,
+    # not a traceback
     _, out = train(tmp_path, TRIVIAL_YAML)
     complete = (out / "checkpoint_seed3.json").read_text()
     ckpt = out / "incomplete.json"
     tasks = str(out / "tasks_seed3.json")
-    for key in artifacts.CHECKPOINT_KEYS:
+    edits = [(key, lambda doc, key=key: doc.pop(key)) for key in artifacts.CHECKPOINT_KEYS]
+    edits += [(key, lambda doc, key=key: doc["goal_tuples"][0].pop(key))
+              for key in ("achieved", "commanded")]
+    for key, edit in edits:
         ckpt.write_text(complete)
-        edit_checkpoint(ckpt, lambda doc: doc.pop(key))
+        edit_checkpoint(ckpt, edit)
         capsys.readouterr()
         for argv in (["replay", str(ckpt), "--task", "freeform", "--tasks", tasks],
                      ["replay", str(ckpt), "--setpoint", "0,0,0,0"],

@@ -97,6 +97,14 @@ def test_pendulum_config_loads(tmp_path):
     assert [t.id for t in run.task_list] == ["swingup"]
 
 
+def test_pendulum_parameters_are_validated(tmp_path):
+    for line, path in (("sampling_time: -0.02", "Ts"), ("force_max: true", "env.force_max"),
+                       ("cart_mass: 0", "m_cart"), ("pole_half_length: -1", "half_length")):
+        bad = PENDULUM_YAML.replace("  kind: pendulum", f"  kind: pendulum\n  {line}")
+        with pytest.raises(ValueError, match=path):
+            load_run_config(write(tmp_path, bad))
+
+
 def test_unknown_keys_are_errors(tmp_path):
     bad = VEHICLE_YAML.replace("seed: 7", "seed: 7\nturbo: yes")
     with pytest.raises(ConfigError, match="turbo"):

@@ -32,10 +32,6 @@ def perturb(theta, sigma, rng):
     return theta + sigma * rng.standard_normal(theta.shape[-1])
 
 
-def evaluate_candidate(theta, tasks, env, spec, t_max):
-    return evaluate_batch(theta, tasks, env, spec, t_max, 1)[0]
-
-
 # -------------------------------------------------------------------- config
 
 def test_config_validation():
@@ -266,10 +262,9 @@ def test_evaluate_candidate_aggregates_tasks():
     env = small_env()
     tasks = [freeform_task((0, 0, 0, 0), (0, 0, 0, 0), task_id="a"),
              freeform_task((1, 0, 0, 0), (1, 0, 0, 0), task_id="b")]
-    score = evaluate_candidate(np.zeros(param_count(SPEC4)), tasks, env, SPEC4, 10)
-    assert score.n_solved == 2
-    assert score.pathlength == 0.0
-    assert score.reward == -2.0
+    row = evaluate_batch(np.zeros(param_count(SPEC4)), tasks, env, SPEC4, 10, 1)[0]
+    # columns n_solved, pathlength, reward, crashed
+    assert row.tolist() == [2.0, 0.0, -2.0, 0.0]
 
 
 def test_evaluate_candidate_sums_pathlengths():
@@ -278,9 +273,9 @@ def test_evaluate_candidate_sums_pathlengths():
     t1 = freeform_task((0, 0, 0, 0), (50, 0, 0, 0))
     theta = np.full(param_count(SPEC4), 20.0)
     r1 = rollout(theta, t1, env, SPEC4, 30)
-    agg = evaluate_candidate(theta, [t1, t1], env, SPEC4, 30)
-    assert agg.pathlength == pytest.approx(2.0 * r1.pathlength)
-    assert agg.reward == pytest.approx(2.0 * r1.reward)
+    _, path, rew, _ = evaluate_batch(theta, [t1, t1], env, SPEC4, 30, 1)[0]
+    assert path == pytest.approx(2.0 * r1.pathlength)
+    assert rew == pytest.approx(2.0 * r1.reward)
 
 
 def test_evaluate_candidate_crash_poisons_aggregate():
@@ -288,9 +283,9 @@ def test_evaluate_candidate_crash_poisons_aggregate():
     clean = freeform_task((0, 0, 0, 0), (0, 0, 0, 0), task_id="clean")
     doomed = freeform_task((99.99, 0, 0, 10.0), (0, 0, 0, 0), task_id="doomed")
     theta = np.full(param_count(SPEC4), 50.0)
-    score = evaluate_candidate(theta, [clean, doomed], env, SPEC4, 10)
-    assert score.crashed
-    assert score.n_solved == 1
+    n_solved, _, _, crashed = evaluate_batch(theta, [clean, doomed], env, SPEC4, 10, 1)[0]
+    assert crashed == 1.0
+    assert n_solved == 1.0
 
 
 # --------------------------------------------------------------- select_best
@@ -318,9 +313,7 @@ def brute_force_select(scores, best, n_tasks):
             if key(scores[i]) > key(scores[i_star]):
                 i_star = i
         s = scores[i_star]
-        unset = best.theta is None and best.reward == float("-inf")
-        best_key = (1, best.reward, 0.0)
-        if best.pathlength is None and (unset or key(s) > best_key):
+        if best.pathlength is None and key(s) > (1, best.reward, 0.0):
             best = BestSolution(None, s.n_solved, None, s.reward)
     return i_star, best, scores[i_star].n_solved
 
@@ -394,6 +387,46 @@ def test_select_best_agrees_with_brute_force():
 
     with pytest.raises(ValueError):
         select_best([], BestSolution(), 1)
+
+
+def _select_matches_brute_force(scores, best, n_tasks):
+    got = select_best(scores, best, n_tasks)
+    rows = [CandidateScore(*row) for row in scores.tolist()]
+    expect = brute_force_select(rows, best, n_tasks)
+    assert got[0] == expect[0] and got[2] == expect[2]
+    assert (got[1].n_solved, got[1].pathlength, got[1].reward) == \
+           (expect[1].n_solved, expect[1].pathlength, expect[1].reward)
+    if expect[1] == best:
+        assert got[1] is best  # nothing improved: the incumbent itself
+    return got[0]
+
+
+def test_select_best_on_score_arrays_matches_brute_force():
+    # (n, 4) arrays as evaluate_batch returns them, with -inf pathlengths
+    # and rewards and exact ties in each of the three cases
+    inf = float("-inf")
+    fixed = [
+        ([[2, -3.0, -9.0, 0], [2, -3.0, -5.0, 1], [1, -1.0, -1.0, 0]], 0),
+        ([[1, -1.0, -1.0, 0], [2, inf, -9.0, 0], [2, inf, -5.0, 0]], 1),
+        ([[1, -2.0, -1.0, 1], [0, -5.0, -7.0, 0], [1, -1.0, -7.0, 0]], 1),
+        ([[1, -2.0, inf, 0], [0, -5.0, inf, 0], [1, -1.0, -1.0, 1]], 0),
+        ([[0, -1.0, -1.0, 1], [1, -2.0, -3.0, 1], [1, -2.0, -1.0, 1]], 1),
+        ([[1, inf, -1.0, 1], [1, inf, -3.0, 1], [0, -1.0, -1.0, 1]], 0),
+    ]
+    incumbents = [BestSolution(), BestSolution(None, 1, None, -4.0),
+                  BestSolution(None, 2, -2.5, -4.0), BestSolution(None, 2, inf, inf)]
+    for rows, want in fixed:
+        for best in incumbents:
+            assert _select_matches_brute_force(np.array(rows, dtype=float), best, 2) == want
+
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(1, 9))
+        scores = np.column_stack((rng.integers(0, 3, n),
+                                  rng.choice([inf, -2.0, -1.0], n),
+                                  rng.choice([inf, -5.0, -4.0], n),
+                                  rng.random(n) < 0.5)).astype(float)
+        _select_matches_brute_force(scores, incumbents[int(rng.integers(4))], 2)
 
 
 def test_best_monotonicity_over_random_stream():
@@ -553,9 +586,10 @@ def test_evaluate_batch_order_matches_candidate_indices():
     theta = np.zeros(param_count(SPEC4))
     thetas = np.stack([candidate_theta(theta, 5.0, 0, 1, 1, i) for i in range(4)])
     whole = evaluate_batch(thetas, [task], env, SPEC4, 15, 1)
-    split = (evaluate_batch(thetas[:2], [task], env, SPEC4, 15, 1)
-             + evaluate_batch(thetas[2:], [task], env, SPEC4, 15, 1))
-    assert whole == split
+    split = np.concatenate([evaluate_batch(thetas[:2], [task], env, SPEC4, 15, 1),
+                            evaluate_batch(thetas[2:], [task], env, SPEC4, 15, 1)])
+    assert whole.shape == (4, 4)
+    assert split.tobytes() == whole.tobytes()
 
 
 # ------------------------------------------------------------- golden bits
