@@ -128,29 +128,43 @@ def _slug(text):
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", text).strip("-") or "setpoint"
 
 
-def cmd_replay(args):
+def _read_checkpoint(args):
+    """The checkpoint ``args.checkpoint``, its rebuilt environment, policy
+    spec and replay horizon (t_max, t_goal); a checkpoint that cannot be
+    read or rebuilt exits 2."""
     try:
         doc = artifacts.read_checkpoint(args.checkpoint)
         env = env_from_config(doc["env"], doc["normalization"])
+        replay_meta = doc.get("replay", {})
+        horizon = int(replay_meta.get("t_max", 1000)), int(replay_meta.get("t_goal", 1))
+        return doc, env, MlpSpec(tuple(doc["layer_sizes"])), horizon
     except (OSError, ValueError) as exc:  # ConfigError included
         _fail(exc)
-    spec = MlpSpec(tuple(doc["layer_sizes"]))
-    replay_meta = doc.get("replay", {})
-    t_max = int(replay_meta.get("t_max", 1000))
-    t_goal = int(replay_meta.get("t_goal", 1))
 
+
+def _read_tasks(args, option):
+    if args.tasks is None:
+        _fail(f"{option} needs --tasks FILE")
+    try:
+        return artifacts.read_task_list(args.tasks)
+    except (OSError, ValueError) as exc:
+        _fail(exc)
+
+
+def _check_digest(args, doc, task_list):
+    if artifacts.task_digest(task_list) != doc["task_digest"]:
+        _fail(f"{args.tasks} is not the task list checkpoint {args.checkpoint} "
+              f"was trained on (task digests differ)")
+
+
+def cmd_replay(args):
+    doc, env, spec, (t_max, t_goal) = _read_checkpoint(args)
     if args.task is not None:
-        if args.tasks is None:
-            _fail("--task needs --tasks FILE")
-        try:
-            task_list = artifacts.read_task_list(args.tasks)
-        except (OSError, ValueError) as exc:
-            _fail(exc)
+        task_list = _read_tasks(args, "--task")
         matches = [t for t in task_list if t.id == args.task]
         if not matches:
             _fail(f"task {args.task!r} not found in {args.tasks}")
         task = matches[0]
-        tag = task.id
     else:
         if args.setpoint is None:
             _fail("need either --task or --setpoint")
@@ -160,11 +174,10 @@ def cmd_replay(args):
         store = doc["goal_tuples"]
         if not store:
             _fail("checkpoint stores no goal tuples; train first")
-        lookup_point = setpoint
-        if args.mirror:
-            lookup_point = tasklib.mirror_goal(setpoint)
+        lookup_point = tasklib.mirror_goal(setpoint) if args.mirror else setpoint
         tup = tasklib.nearest_goal_lookup(lookup_point, store)
         goal = tasklib.mirror_goal(tup.z_goal) if args.mirror else tup.z_goal
+        replay_meta = doc.get("replay", {})
         tol = replay_meta.get("tolerances", {})
         default = tasklib.DEFAULT_VEHICLE_TOL
         task = tasklib.Task(
@@ -172,7 +185,6 @@ def cmd_replay(args):
             Tolerances(tol.get("d", default.eps_d), tol.get("psi", default.eps_psi),
                        tol.get("v", default.eps_v)),
             replay_meta.get("feature_recipe", tasklib.GOAL5))
-        tag = "setpoint"
 
     if task.env_kind != env.kind:
         _fail(f"checkpoint environment is {env.kind!r} but task "
@@ -180,16 +192,15 @@ def cmd_replay(args):
     if env.feature_dim(task) != spec.input_dim:
         _fail(f"task {task.id!r} produces {env.feature_dim(task)} features "
               f"but the checkpoint policy expects {spec.input_dim}")
-    if args.task is not None and artifacts.task_digest(task_list) != doc["task_digest"]:
-        _fail(f"{args.tasks} is not the task list checkpoint {args.checkpoint} "
-              f"was trained on (task digests differ)")
+    if args.task is not None:
+        _check_digest(args, doc, task_list)
 
     res = rollout(doc["theta"], task, env, spec, t_max, t_goal,
                   record=True, mirror=args.mirror)
     out = args.output_dir or os.environ.get(DEFAULT_OUTPUT_ENV_VAR, ".")
     os.makedirs(out, exist_ok=True)
     seed = doc.get("seed", 0)
-    base = os.path.join(out, f"replay_{_slug(tag)}_seed{seed}")
+    base = os.path.join(out, f"replay_{_slug(task.id)}_seed{seed}")
     artifacts.write_trajectory_csv(base + ".csv", env.csv_columns, res.trajectory)
     artifacts.write_summary(base + ".json", {
         "task": task.id, "F": res.success, "P": res.pathlength,
@@ -205,23 +216,11 @@ def cmd_plot(args):
     trajectories = []
     goals = []
     if args.checkpoint is not None:
-        if args.tasks is None:
-            _fail("--checkpoint needs --tasks FILE")
-        try:
-            doc = artifacts.read_checkpoint(args.checkpoint)
-            task_list = artifacts.read_task_list(args.tasks)
-            env = env_from_config(doc["env"], doc["normalization"])
-        except (OSError, ValueError) as exc:  # ConfigError included
-            _fail(exc)
-        if artifacts.task_digest(task_list) != doc["task_digest"]:
-            _fail(f"{args.tasks} is not the task list checkpoint {args.checkpoint} "
-                  f"was trained on (task digests differ)")
-        spec = MlpSpec(tuple(doc["layer_sizes"]))
-        replay_meta = doc.get("replay", {})
+        task_list = _read_tasks(args, "--checkpoint")
+        doc, env, spec, (t_max, t_goal) = _read_checkpoint(args)
+        _check_digest(args, doc, task_list)
         for task in task_list:
-            res = rollout(doc["theta"], task, env, spec,
-                          int(replay_meta.get("t_max", 1000)),
-                          int(replay_meta.get("t_goal", 1)), record=True)
+            res = rollout(doc["theta"], task, env, spec, t_max, t_goal, record=True)
             xs = [row[1] for row in res.trajectory]
             ys = [row[2] for row in res.trajectory]
             trajectories.append((task.id, xs, ys))

@@ -133,11 +133,3 @@ class PendulumEnv:
         dp = -np.abs(nxt[0] - S[0])
         crash = np.abs(nxt[0]) > self.params.p_limit
         return nxt, force[None], dp, crash | ~np.isfinite(nxt).all(0)
-
-
-def env_for_kind(kind, **kwargs):
-    if kind == tasks.VEHICLE:
-        return VehicleEnv(**kwargs)
-    if kind == tasks.PENDULUM:
-        return PendulumEnv(**kwargs)
-    raise ValueError(f"unknown env kind {kind!r}")

@@ -38,8 +38,11 @@ def param_count(spec: MlpSpec) -> int:
     return sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
 
 
-def init_params(spec: MlpSpec, rng: np.random.Generator, std: float = 0.001) -> np.ndarray:
-    return rng.normal(0.0, std, size=param_count(spec))
+INIT_STD = 0.001  # standard deviation of every restart's initial parameters
+
+
+def init_params(spec: MlpSpec, rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(0.0, INIT_STD, size=param_count(spec))
 
 
 def unflatten(theta: np.ndarray, spec: MlpSpec):

@@ -51,6 +51,10 @@ class Task:
             raise ValueError("z0 and z_goal must have 4 entries")
         if not (np.all(np.isfinite(z0)) and np.all(np.isfinite(z_goal))):
             raise ValueError("task states must be finite")
+        for name in ("t_max", "t_goal"):
+            steps = getattr(self, name)
+            if steps is not None and (type(steps) is not int or steps < 1):
+                raise ValueError(f"{name} must be unset or an integer >= 1, got {steps!r}")
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "z_goal", z_goal)
 
@@ -153,7 +157,7 @@ def freeform_task(z0, z_goal, tol: Tolerances = DEFAULT_VEHICLE_TOL,
     return Task(task_id, VEHICLE, tuple(z0), tuple(z_goal), tol, feature_recipe)
 
 
-def heading_grid(step_deg: float, max_deg: float,
+def heading_grid(step_deg: float = 1.0, max_deg: float = 180.0,
                  tol: Tolerances = DEFAULT_VEHICLE_TOL) -> list:
     """Heading-change tasks from the origin: goal [0, 0, psi_goal, 0] for
     psi_goal in {0, step, 2*step, ..., max} degrees."""
@@ -170,7 +174,7 @@ def heading_grid(step_deg: float, max_deg: float,
     return tasks
 
 
-def pendulum_tasks(kind: str, tol: Tolerances = DEFAULT_PENDULUM_TOL,
+def pendulum_tasks(kind: str = "both", tol: Tolerances = DEFAULT_PENDULUM_TOL,
                    t_goal: int | None = None) -> list:
     """Upright stabilization and/or swing-up tasks for the cart-pole."""
     stabilize = Task("stabilize", PENDULUM, UPRIGHT, UPRIGHT, tol, PENDULUM4,
@@ -188,10 +192,10 @@ def pendulum_tasks(kind: str, tol: Tolerances = DEFAULT_PENDULUM_TOL,
 
 # weighted distance used by the setpoint lookup: 1 per metre, 0.1 per degree
 # of heading error, 1 per m/s
-DEFAULT_LOOKUP_WEIGHTS = (1.0, 0.1 * 180.0 / math.pi, 1.0)
+LOOKUP_WEIGHTS = (1.0, 0.1 * 180.0 / math.pi, 1.0)
 
 
-def nearest_goal_lookup(setpoint, store, weights=DEFAULT_LOOKUP_WEIGHTS) -> GoalTuple:
+def nearest_goal_lookup(setpoint, store) -> GoalTuple:
     """Stored tuple whose achieved goal is closest to the setpoint.
 
     Distance is w_d * e_d + w_psi * e_psi + w_v * e_v; ties resolve to the
@@ -202,5 +206,5 @@ def nearest_goal_lookup(setpoint, store, weights=DEFAULT_LOOKUP_WEIGHTS) -> Goal
     achieved = np.array([tup.z_hat_goal for tup in store], dtype=float).T
     point = np.array(setpoint, dtype=float)[:, None]
     e_d, e_psi, e_v = goal_errors(point, achieved)
-    w_d, w_psi, w_v = weights
+    w_d, w_psi, w_v = LOOKUP_WEIGHTS
     return store[int(np.argmin(w_d * e_d + w_psi * e_psi + w_v * e_v))]

@@ -96,27 +96,43 @@ training:
 """
 
 
-@pytest.mark.parametrize("text", [
-    PENDULUM_YAML.replace("kind: pendulum", "kind: pendulum\n  cart_mass: heavy"),
-    PENDULUM_YAML.replace("kind: swingup", "kind: bogus"),
-    PENDULUM_YAML.replace("kind: swingup", "kind: swingup\n  t_goal: x"),
-    TRIVIAL_YAML.replace("z_goal: [0, 0, 0, 0]",
-                         "z_goal: [0, 0, 0, 0]\n  tolerances: {d: -1, psi: 1, v: 1}"),
-    TRIVIAL_YAML.replace("z_goal: [0, 0, 0, 0]",
-                         "z_goal: [0, 0, 0, 0]\n  feature_recipe: bogus"),
-    TRIVIAL_YAML.replace("kind: vehicle", 'kind: vehicle\n  workspace: [0, 0, "a", 1]'),
-    TRIVIAL_YAML.replace("kind: vehicle", "kind: vehicle\n  workspace: [0, 0, 0, 1]"),
-    TRIVIAL_YAML.replace("kind: vehicle", "kind: vehicle\n  limits: {v: [5, -5]}"),
-], ids=["cart_mass", "pendulum_kind", "t_goal", "tolerance", "feature_recipe",
-        "workspace_entry", "degenerate_workspace", "limits"])
-def test_train_invalid_config_value_exits_two(tmp_path, capsys, text):
-    # a value the config builders reject is an error line and exit 2, not
-    # a traceback with exit 1 (the "not every task solved" code)
+@pytest.mark.parametrize("text, key", [
+    (PENDULUM_YAML.replace("kind: pendulum", "kind: pendulum\n  cart_mass: heavy"),
+     "env.cart_mass"),
+    (PENDULUM_YAML.replace("kind: swingup", "kind: bogus"), "tasks"),
+    (PENDULUM_YAML.replace("kind: swingup", "kind: swingup\n  t_goal: x"), "tasks.t_goal"),
+    (PENDULUM_YAML.replace("kind: swingup", "kind: swingup\n  t_goal: 0"), "tasks"),
+    (TRIVIAL_YAML.replace("z_goal: [0, 0, 0, 0]",
+                          "z_goal: [0, 0, 0, 0]\n  tolerances: {d: -1, psi: 1, v: 1}"),
+     "tasks.tolerances"),
+    (TRIVIAL_YAML.replace("z_goal: [0, 0, 0, 0]",
+                          "z_goal: [0, 0, 0, 0]\n  feature_recipe: bogus"), "tasks"),
+    (GRID_YAML.replace("max_deg: 20", "max_deg: 20\n  feature_recipe: goal4"),
+     "tasks.feature_recipe"),
+    (TRIVIAL_YAML.replace("kind: vehicle", 'kind: vehicle\n  workspace: [0, 0, "a", 1]'),
+     "env.workspace[2]"),
+    (TRIVIAL_YAML.replace("kind: vehicle", "kind: vehicle\n  workspace: [0, 0, 0, 1]"), "env"),
+    (TRIVIAL_YAML.replace("kind: vehicle", "kind: vehicle\n  obstacles: 5"), "env.obstacles"),
+    (TRIVIAL_YAML.replace("kind: vehicle", 'kind: vehicle\n  obstacles: [[0, 0, "a", 1]]'),
+     "env.obstacles[0][2]"),
+    (TRIVIAL_YAML.replace("kind: vehicle", "kind: vehicle\n  limits: {v: [5, -5]}"),
+     "env.limits"),
+    (TRIVIAL_YAML.replace("t_max: 10", "t_max: 10\n  refine: 'false'"), "training.refine"),
+    (TRIVIAL_YAML.replace("n_candidates: 3", "n_candidates: 3.9"), "training.n_candidates"),
+    (TRIVIAL_YAML.replace("seed: 3", "seed: 3\nworkers: x"), "config.workers"),
+], ids=["cart_mass", "pendulum_kind", "t_goal", "task_t_goal_zero", "tolerance",
+        "feature_recipe", "grid_feature_recipe", "workspace_entry", "degenerate_workspace",
+        "obstacles_scalar", "obstacle_entry", "limits", "refine_string",
+        "fractional_candidates", "workers"])
+def test_train_invalid_config_value_exits_two(tmp_path, capsys, text, key):
+    # a value the config builders reject is an error line that names its
+    # key (the section, when the section's own check rejects it) and exit
+    # 2, not a traceback with exit 1 (the "not every task solved" code)
     path = write_config(tmp_path, text)
     with pytest.raises(SystemExit) as err:
         main(["train", path, "--output-dir", str(tmp_path / "o"), "--workers", "1"])
     assert err.value.code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert not (tmp_path / "o").exists()
 
 
@@ -215,6 +231,25 @@ def test_plot_refuses_task_file_that_does_not_match_checkpoint(tmp_path, capsys)
     assert not svg_path.exists()
 
 
+@pytest.mark.parametrize("field, value", [("t_goal", "x"), ("t_max", -3), ("t_goal", 0),
+                                          ("t_max", True), ("t_max", 2.5)])
+def test_replay_rejects_task_file_with_bad_horizon(tmp_path, capsys, field, value):
+    # a per-task horizon is unset or an integer >= 1; anything else fails
+    # when the task file is read, not inside the rollout
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    path = out / "tasks_seed3.json"
+    doc = json.loads(path.read_text())
+    doc["tasks"][0][field] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["replay", str(out / "checkpoint_seed3.json"), "--task", "freeform",
+              "--tasks", str(path), "--output-dir", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and field in message
+
+
 def test_replay_missing_task_file_is_an_error(tmp_path, capsys):
     _, out = train(tmp_path, TRIVIAL_YAML)
     with pytest.raises(SystemExit) as err:
@@ -245,6 +280,21 @@ def test_malformed_checkpoint_env_is_an_error(tmp_path, capsys):
         assert err.value.code == 2
         message = capsys.readouterr().err
         assert message.startswith("error:") and "bogus" in message
+
+
+def test_malformed_checkpoint_horizon_is_an_error(tmp_path, capsys):
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    ckpt = out / "checkpoint_seed3.json"
+    edit_checkpoint(ckpt, lambda doc: doc["replay"].update(t_max="x"))
+    tasks = str(out / "tasks_seed3.json")
+    for argv in (["replay", str(ckpt), "--task", "freeform", "--tasks", tasks],
+                 ["plot", "--checkpoint", str(ckpt), "--tasks", tasks,
+                  "-o", str(tmp_path / "p.svg")]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_incomplete_checkpoint_is_an_error(tmp_path, capsys):

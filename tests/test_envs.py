@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from tshc.dynamics import PendulumParams, VehicleParams
-from tshc.envs import PendulumEnv, VehicleEnv, env_for_kind
+from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.plotting import render_svg
 from tshc.reward import VVC_SPATIAL, VvcConfig
 from tshc.tasks import freeform_task, pendulum_tasks
-
-
-def test_env_for_kind_dispatch():
-    assert isinstance(env_for_kind("vehicle"), VehicleEnv)
-    assert isinstance(env_for_kind("pendulum"), PendulumEnv)
-    with pytest.raises(ValueError):
-        env_for_kind("boat")
 
 
 def test_vehicle_init_arrays_normalizes_heading():
