@@ -16,7 +16,7 @@ import tempfile
 import numpy as np
 
 from . import tasks as tasklib
-from .reward import Tolerances
+from .config import tolerances_from_dict, tolerances_to_dict
 
 CHECKPOINT_FORMAT = "tshc-checkpoint-v1"
 # what replay and plot read from every checkpoint
@@ -45,19 +45,31 @@ def task_to_dict(task):
         "env_kind": task.env_kind,
         "z0": list(task.z0),
         "z_goal": list(task.z_goal),
-        "tolerances": {"d": task.tol.eps_d, "psi": task.tol.eps_psi,
-                       "v": task.tol.eps_v},
+        "tolerances": tolerances_to_dict(task.tol),
         "feature_recipe": task.feature_recipe,
         "t_max": task.t_max,
         "t_goal": task.t_goal,
     }
 
 
-def task_from_dict(d):
-    tol = d["tolerances"]
-    return tasklib.Task(d["id"], d["env_kind"], tuple(d["z0"]), tuple(d["z_goal"]),
-                        Tolerances(tol["d"], tol["psi"], tol["v"]),
-                        d["feature_recipe"], d.get("t_max"), d.get("t_goal"))
+# the keys every task-file entry must have; t_max and t_goal may be absent
+TASK_KEYS = ("id", "env_kind", "z0", "z_goal", "tolerances", "feature_recipe")
+
+
+def task_from_dict(d, path="task"):
+    """The ``Task`` of a task-file entry; a missing key or an invalid value
+    raises a ``ValueError`` that names ``path``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected a mapping, got {d!r}")
+    missing = [key for key in TASK_KEYS if key not in d]
+    if missing:
+        raise ValueError(f"{path} has no {', '.join(missing)}")
+    tol = tolerances_from_dict(d["tolerances"], f"{path}.tolerances")
+    try:
+        return tasklib.Task(d["id"], d["env_kind"], tuple(d["z0"]), tuple(d["z_goal"]),
+                            tol, d["feature_recipe"], d.get("t_max"), d.get("t_goal"))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def task_digest(task_list):
@@ -77,7 +89,9 @@ def read_task_list(path):
         doc = json.load(fh)
     if doc.get("format") != TASKLIST_FORMAT:
         raise ValueError(f"{path}: not a task-list file")
-    return [task_from_dict(d) for d in doc["tasks"]]
+    if "tasks" not in doc:
+        raise ValueError(f"{path}: task-list file has no tasks")
+    return [task_from_dict(d, f"{path}: tasks[{i}]") for i, d in enumerate(doc["tasks"])]
 
 
 def write_checkpoint(path, spec, theta, norm, task_list, env_config, seed,
@@ -148,13 +162,29 @@ def write_trajectory_csv(path, columns, rows):
 
 
 def read_trajectory_csv(path):
+    """(columns, rows) of a trajectory CSV: a header of at least t, x and y,
+    then one row per step, an int step and floats; a file that is not one
+    raises a ``ValueError`` that names it."""
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty trajectory file")
     columns = tuple(lines[0].split(","))
+    if len(columns) < 3:
+        raise ValueError(f"{path}: expected at least the columns t, x and y, "
+                         f"got {','.join(columns)}")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: trajectory file has no rows")
     rows = []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:], 2):
         parts = line.split(",")
-        rows.append((int(parts[0]),) + tuple(float(p) for p in parts[1:]))
+        if len(parts) != len(columns):
+            raise ValueError(f"{path}: line {i} has {len(parts)} values, "
+                             f"expected {len(columns)}")
+        try:
+            rows.append((int(parts[0]),) + tuple(float(p) for p in parts[1:]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {i}: {exc}") from None
     return columns, rows
 
 

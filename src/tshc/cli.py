@@ -19,12 +19,12 @@ import re
 import sys
 import time
 
-from . import artifacts, plotting
+from . import artifacts, plotting, trainer
 from . import tasks as tasklib
-from .config import (ConfigError, DEFAULT_OUTPUT_ENV_VAR, env_from_config,
-                     load_run_config, parse_quantity)
+from .config import (ConfigError, DEFAULT_OUTPUT_ENV_VAR, VEHICLE_STATE, env_from_config,
+                     load_run_config, parse_quantity, tolerances_from_dict,
+                     tolerances_to_dict)
 from .policy import MlpSpec
-from .reward import Tolerances
 from .trainer import rollout, tshc_run
 
 
@@ -55,9 +55,7 @@ def cmd_train(args):
         "t_max": cfg.t_max,
         "t_goal": cfg.t_goal,
         "feature_recipe": run.task_list[0].feature_recipe,
-        "tolerances": {"d": run.task_list[0].tol.eps_d,
-                       "psi": run.task_list[0].tol.eps_psi,
-                       "v": run.task_list[0].tol.eps_v},
+        "tolerances": tolerances_to_dict(run.task_list[0].tol),
     }
 
     def on_iteration(rec):
@@ -115,11 +113,10 @@ def _parse_setpoint(text):
     parts = text.split(",")
     if len(parts) != 4:
         _fail(f"--setpoint expects 'x,y,psi,v', got {text!r}")
-    kinds = ("length", "length", "angle", "speed")
     try:
         return tuple(parse_quantity(p.strip() if " " in p.strip() else float(p), k,
                                     "setpoint")
-                     for p, k in zip(parts, kinds))
+                     for p, k in zip(parts, VEHICLE_STATE))
     except (ConfigError, ValueError) as exc:
         _fail(f"--setpoint: {exc}")
 
@@ -157,8 +154,22 @@ def _check_digest(args, doc, task_list):
               f"was trained on (task digests differ)")
 
 
+def _check_mirror(args, env):
+    """``--mirror`` reflects through the x-axis, which the vehicle's steering
+    box maps onto itself only when its limits are symmetric."""
+    if env.kind != tasklib.VEHICLE:
+        _fail("--mirror is defined for vehicle checkpoints")
+    lim = env.limits
+    if lim.delta_min != -lim.delta_max or lim.deltadot_min != -lim.deltadot_max:
+        _fail(f"--mirror needs symmetric steering limits, but {args.checkpoint} has "
+              f"steer [{lim.delta_min!r}, {lim.delta_max!r}] and steer_rate "
+              f"[{lim.deltadot_min!r}, {lim.deltadot_max!r}]")
+
+
 def cmd_replay(args):
     doc, env, spec, (t_max, t_goal) = _read_checkpoint(args)
+    if args.mirror:
+        _check_mirror(args, env)
     if args.task is not None:
         task_list = _read_tasks(args, "--task")
         matches = [t for t in task_list if t.id == args.task]
@@ -178,13 +189,14 @@ def cmd_replay(args):
         tup = tasklib.nearest_goal_lookup(lookup_point, store)
         goal = tasklib.mirror_goal(tup.z_goal) if args.mirror else tup.z_goal
         replay_meta = doc.get("replay", {})
-        tol = replay_meta.get("tolerances", {})
-        default = tasklib.DEFAULT_VEHICLE_TOL
-        task = tasklib.Task(
-            "setpoint", tasklib.VEHICLE, (0.0, 0.0, 0.0, 0.0), goal,
-            Tolerances(tol.get("d", default.eps_d), tol.get("psi", default.eps_psi),
-                       tol.get("v", default.eps_v)),
-            replay_meta.get("feature_recipe", tasklib.GOAL5))
+        tol = tasklib.DEFAULT_VEHICLE_TOL
+        if "tolerances" in replay_meta:
+            try:
+                tol = tolerances_from_dict(replay_meta["tolerances"], "replay.tolerances")
+            except ValueError as exc:
+                _fail(f"{args.checkpoint}: {exc}")
+        task = tasklib.Task("setpoint", tasklib.VEHICLE, (0.0, 0.0, 0.0, 0.0), goal, tol,
+                            replay_meta.get("feature_recipe", tasklib.GOAL5))
 
     if task.env_kind != env.kind:
         _fail(f"checkpoint environment is {env.kind!r} but task "
@@ -219,11 +231,11 @@ def cmd_plot(args):
         task_list = _read_tasks(args, "--checkpoint")
         doc, env, spec, (t_max, t_goal) = _read_checkpoint(args)
         _check_digest(args, doc, task_list)
-        for task in task_list:
-            res = rollout(doc["theta"], task, env, spec, t_max, t_goal, record=True)
-            xs = [row[1] for row in res.trajectory]
-            ys = [row[2] for row in res.trajectory]
-            trajectories.append((task.id, xs, ys))
+        # every task in one recorded rollout, a lane per task
+        recorded = trainer.batch_rollout(doc["theta"], spec, task_list, env, t_max,
+                                         t_goal, record=True)[5]
+        for task, rows in zip(task_list, recorded):
+            trajectories.append((task.id, rows[:, 0].tolist(), rows[:, 1].tolist()))
             goals.append((task.z_goal[0], task.z_goal[1]))
     for path in args.inputs:
         try:

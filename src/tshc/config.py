@@ -160,20 +160,34 @@ _VEHICLE_NORM = _same_names(dx="length", dy="length", dpsi="angle", dv="speed")
 _PENDULUM_NORM = _same_names(dp="length", dp_dot="speed", dtheta="angle",
                              dtheta_dot="angrate")
 
-_TOLERANCES = ("tol", _Section(Tolerances, {"d": ("eps_d", "length"),
-                                            "psi": ("eps_psi", "angle"),
-                                            "v": ("eps_v", "speed")}))
-_VEHICLE_STATE = ("length", "length", "angle", "speed")
+# the {d, psi, v} tolerances of configs, task files and checkpoints
+_TOLERANCE_KEYS = {"d": ("eps_d", "length"), "psi": ("eps_psi", "angle"),
+                   "v": ("eps_v", "speed")}
+_TOLERANCES = ("tol", _Section(Tolerances, _TOLERANCE_KEYS))
+# unit kinds of a vehicle state or setpoint (x, y, psi, v)
+VEHICLE_STATE = ("length", "length", "angle", "speed")
 # generator -> (task-list builder, env kind it needs, key table)
 _GENERATORS = {
     "freeform": (tasklib.freeform_task, tasklib.VEHICLE, {
         "tolerances": _TOLERANCES, **_same_names(
-            z0=_VEHICLE_STATE, z_goal=_VEHICLE_STATE, feature_recipe=str)}),
+            z0=VEHICLE_STATE, z_goal=VEHICLE_STATE, feature_recipe=str)}),
     "heading-grid": (tasklib.heading_grid, tasklib.VEHICLE, {
         "tolerances": _TOLERANCES, **_same_names(step_deg="plain", max_deg="plain")}),
     "pendulum": (tasklib.pendulum_tasks, tasklib.PENDULUM, {
         "tolerances": _TOLERANCES, **_same_names(kind=str, t_goal=int)}),
 }
+
+
+def tolerances_to_dict(tol: Tolerances):
+    """The {d, psi, v} dict of ``tol``, in SI."""
+    return _dump(tol, _TOLERANCE_KEYS)
+
+
+def tolerances_from_dict(doc, path="tolerances"):
+    """``Tolerances`` from a {d, psi, v} dict; all three keys are required,
+    and an error names ``path`` and the key."""
+    return _section(doc, path, Tolerances, _TOLERANCE_KEYS)
+
 
 _POLICY = _same_names(layer_sizes=[int])
 _TRAINING = _same_names(

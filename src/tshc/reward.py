@@ -24,6 +24,10 @@ class Tolerances:
     eps_v: float
 
     def __post_init__(self):
+        # floats, as a task file reads them back, so that a task list has
+        # one digest before and after a round trip
+        for name in ("eps_d", "eps_psi", "eps_v"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if min(self.eps_d, self.eps_psi, self.eps_v) <= 0.0:
             raise ValueError("tolerances must be strictly positive")
 
@@ -81,7 +85,8 @@ def sparse_reward(crash_flag) -> Reward:
 
 def vvc_bounds(e_d, v_goal, v_min, v_max, cfg: VvcConfig):
     """Velocity box valid at distance e_d from the goal; elementwise over e_d
-    (the speeds and the config are scalars)."""
+    and over v_goal, a goal speed per lane or one float for all lanes (the
+    global speeds and the config are scalars)."""
     if cfg.mode == VVC_OFF:
         shape = np.shape(e_d)
         if shape:
@@ -93,9 +98,12 @@ def vvc_bounds(e_d, v_goal, v_min, v_max, cfg: VvcConfig):
         lo = v_goal + (v_min - v_goal) * frac
         hi = v_goal + (v_max - v_goal) * frac
         return np.where(far, v_min, lo), np.where(far, v_max, hi)
-    # constant margin inside r_thresh, global bounds outside
-    lo_in = max(v_goal - cfg.margin, v_min)
-    hi_in = min(v_goal + cfg.margin, v_max)
-    if lo_in > hi_in:  # goal speed outside the global box: collapse
-        lo_in = hi_in = min(max(v_goal, v_min), v_max)
+    # constant margin inside r_thresh, global bounds outside; both edges are
+    # clipped to the global box, so a goal speed outside it collapses the
+    # inner box onto the nearer global bound
+    lo_in, hi_in = v_goal - cfg.margin, v_goal + cfg.margin
+    if isinstance(v_goal, float):  # one goal speed: no array calls
+        lo_in, hi_in = min(max(lo_in, v_min), v_max), min(max(hi_in, v_min), v_max)
+    else:
+        lo_in, hi_in = np.clip(lo_in, v_min, v_max), np.clip(hi_in, v_min, v_max)
     return np.where(far, v_min, lo_in), np.where(far, v_max, hi_in)

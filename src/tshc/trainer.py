@@ -1,17 +1,19 @@
 """Hill-climbing trainer: restart loop, Gaussian perturbation fan-out,
-per-task rollouts, candidate selection, perturbation-scale adaptation and
-the greedy parameter move.
+folded rollouts over the task list, candidate selection,
+perturbation-scale adaptation and the greedy parameter move.
 
-All candidates of one iteration are evaluated in lockstep with batched
-numpy: the rollout state is one (state_dim, lanes) matrix (see ``envs``),
-and what a task's rollout needs at every step is computed once per
-rollout.  A lane that reaches its goal, crashes or goes non-finite is
-dropped from the working arrays at once, so later steps compute only the
-live lanes; its step count, path length and reward are written when it
-leaves.  Every batch lane is independent, so neither dropping lanes nor
+All candidates of one iteration are evaluated on all tasks in one lockstep
+rollout with batched numpy: its lanes are (task, candidate) pairs in
+task-major order, the state is one (state_dim, lanes) matrix (see
+``envs``), and the per-lane goal, tolerance, success-window and horizon
+columns are built once per rollout.  A lane that reaches its goal,
+crashes, goes non-finite or reaches its task's horizon is dropped from the
+working arrays and columns at once, so later steps compute only the live
+lanes; its step count, path length and reward are written when it leaves.
+Every lane is independent, so neither folding tasks, dropping lanes nor
 splitting the fan-out across worker processes changes a bit: results are
-identical for any batch size and worker count.  Candidate noise is
-derived from a counter-based sub-seed (seed, restart, iteration,
+identical for any batch size, task grouping and worker count.  Candidate
+noise is derived from a counter-based sub-seed (seed, restart, iteration,
 candidate), which makes runs reproducible for any worker count.
 """
 
@@ -115,61 +117,103 @@ class IterationRecord:
     wall_time: float
 
 
-def batch_rollout(thetas, spec: MlpSpec, task, env, t_max, t_goal,
+def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
                   rich_weights=None, record=False, mirror=False):
-    """Simulate one task for a batch of parameter vectors in lockstep.
+    """Simulate every task of ``task_list`` for a batch of n parameter
+    vectors in lockstep.
 
-    Returns (success, pathlength, reward, crashed, steps, trajectory,
-    terminal states), each per lane over the whole batch; the terminal
-    states are a (state_dim, n) matrix, a lane's column holding where it
-    reached its goal run, crashed or timed out.  ``record`` collects the
-    lane-0 trajectory and requires a batch of one.
+    The lanes are (task, candidate) pairs in task-major order: lane
+    k * n + i runs task k with ``thetas[i]``.  A task's own ``t_max`` and
+    ``t_goal`` override the defaults given here.  Returns (success,
+    pathlength, reward, crashed, steps, trajectories, terminal states),
+    each per lane; the terminal states are a (state_dim, lanes) matrix, a
+    lane's column holding where it reached its goal run, crashed or timed
+    out.  With ``record`` the trajectories are one (steps + 1, columns)
+    array per lane: at every step the pose before it and the controls
+    applied when leaving it, then the terminal pose with the last controls
+    (zeros if the lane never stepped); without it they are None.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
-    if record and n != 1:
-        raise ValueError("trajectory recording needs a batch of one")
+    if len(task_list) > 1:
+        thetas = np.tile(thetas, (len(task_list), 1))
+    lanes = thetas.shape[0]
     layers = unflatten(thetas, spec)
-    consts = env.constants(task)
-    S = env.init_arrays(task, n)
+    consts = env.constants(task_list, n)
+    S = env.init_arrays(task_list, n)
     terminal = np.empty(S.shape)
-    features = np.empty((n, env.feature_dim(task)))
+    features = np.empty((lanes, env.feature_dim(task_list[0])))
     if rich_weights is not None:
         weights = np.asarray(rich_weights, dtype=float)[:, None]
-    # the working arrays (S, layers, last_raw, run and the running path
-    # length and reward) hold the live lanes only; ``live`` maps them to
-    # their batch rows, and a lane's results are written when it retires
-    live = np.arange(n)
-    last_raw = np.zeros(n)
-    run = np.zeros(n, dtype=np.int64)
-    path = np.zeros(n)
-    dense = np.zeros(n)
-    success = np.zeros(n, dtype=np.int64)
-    crashed = np.zeros(n, dtype=bool)
-    steps = np.zeros(n, dtype=np.int64)
-    P = np.zeros(n)
-    J = np.zeros(n)
-    trajectory = [] if record else None
+    # success windows per lane; one window shared by all tasks stays an int
+    windows = [task.t_goal or t_goal for task in task_list]
+    goal_run = windows[0] if len(set(windows)) == 1 else np.repeat(windows, n)
+    # a lane times out at its task's horizon; the loop runs to the longest,
+    # and a shorter one retires its lanes at that step, a check made only on
+    # the steps in ``stops`` (whose last, the longest, the loop never reaches)
+    horizons = [task.t_max or t_max for task in task_list]
+    T = max(horizons)
+    lane_horizon = np.repeat(horizons, n)
+    stops = iter(sorted(set(horizons)))
+    k = 5 - env.control_dim  # pose rows in a trajectory row
+    if record:
+        # a step writes the rows of the live lanes, in working order, to
+        # ``steps_rec``; a retirement moves the rows written since the last
+        # one (``since``) to the lanes' own rows of ``rec``
+        rec = np.empty((T + 1, lanes, k + env.control_dim))
+        steps_rec = np.empty((T, k + env.control_dim, lanes))
+        since = 0
+    # the working arrays (S, layers, consts, goal_run, last_raw, run and the
+    # running path length and reward) hold the live lanes only; ``live``
+    # maps them to their lanes, and a lane's results are written when it
+    # retires
+    live = np.arange(lanes)
+    last_raw = np.zeros(lanes)
+    run = np.zeros(lanes, dtype=np.int64)
+    path = np.zeros(lanes)
+    dense = np.zeros(lanes)
+    success = np.zeros(lanes, dtype=np.int64)
+    crashed = np.zeros(lanes, dtype=bool)
+    steps = np.zeros(lanes, dtype=np.int64)
+    P = np.zeros(lanes)
+    J = np.zeros(lanes)
 
     def retire(gone, n_steps):
-        nonlocal live, S, layers, last_raw, run, path, dense
+        nonlocal live, S, layers, consts, goal_run, last_raw, run, path, dense, since
         rows = live[gone]
         terminal[:, rows] = S[:, gone]
         steps[rows] = n_steps
         P[rows] = path[gone]
         J[rows] = dense[gone]
+        if record:
+            written = steps_rec[since:n_steps, :, :live.size]
+            rec[since:n_steps, live] = written.transpose(0, 2, 1)
+            since = n_steps
+            rec[n_steps, rows, :k] = S[:k, gone].T
+            rec[n_steps, rows, k:] = rec[n_steps - 1, rows, k:] if n_steps else 0.0
         keep = np.flatnonzero(~gone)
         live = live[keep]
         S = S[:, keep]
         layers = [(w[keep], b[keep]) for w, b in layers]
+        consts = consts.compact(keep)
+        if isinstance(goal_run, np.ndarray):
+            goal_run = goal_run[keep]
         last_raw = last_raw[keep]
         run = run[keep]
         path = path[keep]
         dense = dense[keep]
 
-    for t in range(t_max):
+    stop = next(stops)
+    for t in range(T):
+        if t == stop:
+            timed_out = lane_horizon[live] == t
+            stop = next(stops)
+            if np.count_nonzero(timed_out):
+                retire(timed_out, t)
+                if not live.size:
+                    break
         run = (run + 1) * env.goal_mask(S, consts)
-        done = run >= t_goal
+        done = run >= goal_run
         if rich_weights is not None:
             # every live lane collects this step's reward, a lane that
             # reaches its goal run here included
@@ -181,16 +225,15 @@ def batch_rollout(thetas, spec: MlpSpec, task, env, t_max, t_goal,
                 break
         feats = env.features_arrays(S, consts, last_raw, features[:live.size])
         if mirror:
-            feats = tasklib.mirror_features(feats, task.feature_recipe)
+            feats = tasklib.mirror_features(feats, consts.recipe)
         raw = forward_layers(layers, feats)
         if mirror:
             raw = tasklib.mirror_control(raw)
         S_next, controls, dp, crash = env.apply_arrays(S, raw, consts)
         path += dp
         if record:
-            # pose before the step plus the control applied when leaving it
-            trajectory.append((t, *S[:5 - env.control_dim, 0].tolist(),
-                               *controls[:, 0].tolist()))
+            steps_rec[t, :k, :live.size] = S[:k]
+            steps_rec[t, k:, :live.size] = controls
         S = S_next
         last_raw = raw[:, -1]
         if np.count_nonzero(crash):
@@ -198,47 +241,50 @@ def batch_rollout(thetas, spec: MlpSpec, task, env, t_max, t_goal,
             retire(crash, t + 1)
             if not live.size:
                 break
-    retire(np.ones(live.size, dtype=bool), t_max)  # lanes that timed out
+    retire(np.ones(live.size, dtype=bool), T)  # lanes that timed out
     if rich_weights is None:
         # the sparse reward is -1 per goal test: one per step, plus the
         # test that found a lane's goal run
         J = (-(steps + success)).astype(float)
-    return success, P, J, crashed, steps, trajectory, terminal
+    trajectories = ([rec[:m + 1, lane] for lane, m in enumerate(steps.tolist())]
+                    if record else None)
+    return success, P, J, crashed, steps, trajectories, terminal
 
 
 def rollout(theta, task, env, spec: MlpSpec, t_max, t_goal=1,
             rich_weights=None, record=False, mirror=False) -> RolloutResult:
-    """Single-candidate rollout; optionally records the trajectory."""
-    t_max = task.t_max or t_max
-    t_goal = task.t_goal or t_goal
-    success, P, J, crashed, steps, trajectory, S = batch_rollout(
-        theta, spec, task, env, t_max, t_goal,
+    """Single-candidate rollout of one task: a one-lane ``batch_rollout``;
+    optionally records the trajectory as (t, pose..., controls...) rows."""
+    success, P, J, crashed, steps, trajectories, S = batch_rollout(
+        theta, spec, [task], env, t_max, t_goal,
         rich_weights=rich_weights, record=record, mirror=mirror)
-    terminal = tuple(S[:4, 0].tolist())
+    trajectory = None
     if record:
-        pad = (trajectory[-1][-env.control_dim:] if trajectory
-               else (0.0,) * env.control_dim)
-        trajectory.append((int(steps[0]),) + terminal[:5 - env.control_dim] + tuple(pad))
+        trajectory = [(t, *row) for t, row in enumerate(trajectories[0].tolist())]
     return RolloutResult(int(success[0]), float(P[0]), float(J[0]),
-                         bool(crashed[0]), int(steps[0]),
-                         trajectory if record else None, terminal)
+                         bool(crashed[0]), int(steps[0]), trajectory,
+                         tuple(S[:4, 0].tolist()))
 
 
 def evaluate_batch(thetas, task_list, env, spec, t_max, t_goal,
                    rich_weights=None):
     """Scores of each batch row summed over all tasks: an (n, 4) float array
     with the ``CandidateScore`` columns n_solved, pathlength, reward and
-    crashed (0 or 1, set if the candidate crashed on any task)."""
+    crashed (0 or 1, set if the candidate crashed on any task).
+
+    All tasks run in one folded rollout; each task's lanes are added in
+    task order, as a loop over the tasks would add them."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    scores = np.zeros((thetas.shape[0], 4))
-    for task in task_list:
-        s, p, j, c, _, _, _ = batch_rollout(
-            thetas, spec, task, env, task.t_max or t_max, task.t_goal or t_goal,
-            rich_weights=rich_weights)
-        scores[:, 0] += s
-        scores[:, 1] += p
-        scores[:, 2] += j
-        scores[:, 3] = np.logical_or(scores[:, 3], c)
+    n = thetas.shape[0]
+    s, p, j, c, _, _, _ = batch_rollout(thetas, spec, task_list, env, t_max, t_goal,
+                                        rich_weights=rich_weights)
+    scores = np.zeros((n, 4))
+    for lo in range(0, len(task_list) * n, n):
+        lanes = slice(lo, lo + n)
+        scores[:, 0] += s[lanes]
+        scores[:, 1] += p[lanes]
+        scores[:, 2] += j[lanes]
+        scores[:, 3] = np.logical_or(scores[:, 3], c[lanes])
     return scores
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,8 @@ import pytest
 
 from tshc import artifacts
 from tshc.policy import MlpSpec, init_params, param_count
-from tshc.tasks import GoalTuple, VehicleNorm, freeform_task, heading_grid
+from tshc.reward import Tolerances
+from tshc.tasks import GoalTuple, VehicleNorm, freeform_task, heading_grid, pendulum_tasks
 from tshc.trainer import BestSolution, IterationRecord
 
 ENV_CONFIG = {
@@ -33,6 +35,30 @@ def test_task_list_rejects_other_files(tmp_path):
     path.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(ValueError):
         artifacts.read_task_list(path)
+
+
+def test_task_digest_bytes_are_unchanged(tmp_path):
+    # the {d, psi, v} tolerance dict is written by the config schema's codec;
+    # the digest of a task list must stay the one older task files and
+    # checkpoints carry (recorded before the codec replaced the hand copies)
+    tasks = heading_grid(10, 30) + pendulum_tasks("both", t_goal=4)
+    tasks.append(dataclasses.replace(
+        freeform_task((0, 0, 0, 0), (1, 2, 0.5, 1), Tolerances(0.3, 0.02, 0.5)), t_max=7))
+    digest = "8e43f28a90fa5396fc053bceaa8c7ad3eaff0d5d8c668975deb46cc8728c5828"
+    assert artifacts.task_digest(tasks) == digest
+    path = tmp_path / "tasks.json"
+    artifacts.write_task_list(path, tasks)
+    assert json.loads(path.read_text())["digest"] == digest
+    assert artifacts.task_digest(artifacts.read_task_list(path)) == digest
+
+
+def test_task_list_with_integer_tolerances_keeps_its_digest(tmp_path):
+    # a file stores the tolerances as written and reads them back as floats
+    tasks = [freeform_task((0, 0, 0, 0), (1, 0, 0, 0), Tolerances(1, 2, 3))]
+    path = tmp_path / "tasks.json"
+    artifacts.write_task_list(path, tasks)
+    assert artifacts.read_task_list(path) == tasks
+    assert artifacts.task_digest(artifacts.read_task_list(path)) == artifacts.task_digest(tasks)
 
 
 def test_task_digest_is_order_sensitive_and_stable():

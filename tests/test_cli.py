@@ -359,3 +359,95 @@ def test_setpoint_parsing_accepts_units(tmp_path):
     with pytest.raises(SystemExit):
         main(["replay", str(out / "checkpoint_seed3.json"),
               "--setpoint", "1,2,3", "--output-dir", str(out)])
+
+
+@pytest.mark.parametrize("text, problem", [("", "empty"), ("t,x,y\n", "no rows"),
+                                           ("t,x\n0,1.0\n1,2.0\n", "t, x and y")])
+def test_plot_malformed_trajectory_csv_exits_two(tmp_path, capsys, text, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["plot", str(path), "-o", str(tmp_path / "p.svg")])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and str(path) in message and problem in message
+    assert not (tmp_path / "p.svg").exists()
+
+
+def test_task_file_missing_key_is_an_error(tmp_path, capsys):
+    # an entry without a required key, or a file without tasks, is an error
+    # line naming the entry and the key, for replay and plot alike
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    ckpt = str(out / "checkpoint_seed3.json")
+    complete = json.loads((out / "tasks_seed3.json").read_text())
+    path = tmp_path / "tasks.json"
+    edits = [(f"tasks[0] has no {key}", lambda doc, key=key: doc["tasks"][0].pop(key))
+             for key in artifacts.TASK_KEYS]
+    edits += [("tasks[0].tolerances.psi", lambda doc: doc["tasks"][0]["tolerances"].pop("psi")),
+              ("has no tasks", lambda doc: doc.pop("tasks"))]
+    assert {"id", "z0", "z_goal", "env_kind", "feature_recipe",
+            "tolerances"} == set(artifacts.TASK_KEYS)
+    for expected, edit in edits:
+        doc = json.loads(json.dumps(complete))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        for argv in (["replay", ckpt, "--task", "freeform", "--tasks", str(path)],
+                     ["plot", "--checkpoint", ckpt, "--tasks", str(path),
+                      "-o", str(tmp_path / "p.svg")]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, (expected, argv)
+            message = capsys.readouterr().err
+            assert message.startswith("error:") and expected in message, message
+    assert not (tmp_path / "p.svg").exists()
+
+
+def test_plot_checkpoint_draws_each_task_replay(tmp_path, monkeypatch):
+    # plot --checkpoint rolls all tasks out in one folded rollout; each
+    # polyline must be the path its task's own replay records
+    _, out = train(tmp_path, GRID_YAML)
+    ckpt = str(out / "checkpoint_seed3.json")
+    tasks = str(out / "tasks_seed3.json")
+    drawn = []
+    monkeypatch.setattr(cli.plotting, "render_svg",
+                        lambda trajectories, goals: drawn.extend(trajectories) or "<svg/>")
+    assert main(["plot", "--checkpoint", ckpt, "--tasks", tasks,
+                 "-o", str(tmp_path / "p.svg")]) == 0
+    assert [label for label, _, _ in drawn] == ["heading0", "heading10", "heading20"]
+    for label, xs, ys in drawn:
+        assert main(["replay", ckpt, "--task", label, "--tasks", tasks,
+                     "--output-dir", str(out)]) == 0
+        _, rows = artifacts.read_trajectory_csv(out / f"replay_{label}_seed3.csv")
+        assert xs == [r[1] for r in rows] and ys == [r[2] for r in rows]
+
+
+MIRROR_YAML = TRIVIAL_YAML.replace("z_goal: [0, 0, 0, 0]", "z_goal: [0, 0.1, 0, 0]")
+
+
+@pytest.mark.parametrize("limits", ["{steer: [-40 deg, 30 deg]}",
+                                    "{steer_rate: [-40 deg/s, 50 deg/s]}"])
+def test_replay_mirror_needs_symmetric_steering(tmp_path, capsys, limits):
+    # with asymmetric steering limits the mirrored replay is not a reflection
+    _, out = train(tmp_path, MIRROR_YAML.replace(
+        "kind: vehicle", f"kind: vehicle\n  limits: {limits}"))
+    ckpt = str(out / "checkpoint_seed3.json")
+    assert main(["replay", ckpt, "--setpoint", "0,-0.1,0,0",
+                 "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["replay", ckpt, "--setpoint", "0,-0.1,0,0", "--mirror",
+              "--output-dir", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and "symmetric steering" in message
+
+
+def test_replay_mirror_is_refused_for_pendulum(tmp_path, capsys):
+    _, out = train(tmp_path, PENDULUM_YAML)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["replay", str(out / "checkpoint_seed3.json"), "--task", "swingup",
+              "--tasks", str(out / "tasks_seed3.json"), "--mirror"])
+    assert err.value.code == 2
+    assert "vehicle" in capsys.readouterr().err

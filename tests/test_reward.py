@@ -22,7 +22,7 @@ def goal_flag(state, goal):
     """The goal test the trainer runs: VehicleEnv.goal_mask on one lane."""
     task = freeform_task((0.0, 0.0, 0.0, 0.0), goal, TOL)
     env = VehicleEnv()
-    return bool(env.goal_mask(vehicle_state(*state), env.constants(task))[0])
+    return bool(env.goal_mask(vehicle_state(*state), env.constants([task], 1))[0])
 
 
 # ----------------------------------------------------------------- goal test
@@ -78,7 +78,7 @@ FAR_TASK = freeform_task((0.0, 0.0, 0.0, 0.0), (50.0, 0.0, 0.0, 0.0), TOL)
 def step_dp(env, state, raw):
     """Pathlength increment dp of one VehicleEnv.apply_arrays step."""
     _, _, dp, _ = env.apply_arrays(vehicle_state(*state), np.array([raw]),
-                                   env.constants(FAR_TASK))
+                                   env.constants([FAR_TASK], 1))
     return float(dp[0])
 
 
@@ -96,7 +96,7 @@ def test_pathlength_triangle_inequality():
     rng = np.random.default_rng(0)
     S = vehicle_state(0.0, 0.0, 0.0, 0.0)
     total = 0.0
-    k = env.constants(FAR_TASK)
+    k = env.constants([FAR_TASK], 1)
     for raw in rng.uniform(-1.0, 1.0, size=(20, 2)):
         S, _, dp, _ = env.apply_arrays(S, raw[None, :], k)
         total += float(dp[0])
@@ -160,6 +160,20 @@ def test_vvc_bounds_vectorized():
     lo, hi = vvc_bounds(e_d, 0.0, -10.0, 10.0, cfg)
     assert np.allclose(hi, [0.0, 5.0, 10.0, 10.0])
     assert np.allclose(lo, [0.0, -5.0, -10.0, -10.0])
+
+
+@pytest.mark.parametrize("mode", [VVC_SPATIAL, VVC_CONSTANT])
+def test_vvc_bounds_per_lane_goal_speed_matches_scalar(mode):
+    # a folded rollout passes one goal speed per lane; each lane's box must
+    # be the bits of the one-goal-speed call, the collapse cases included
+    cfg = VvcConfig(mode, r_thresh=5.0, margin=2.0)
+    e_d = np.array([0.5, 1.0, 1.0, 4.0, 6.0, 0.0])
+    v_goal = np.array([0.0, 9.5, 20.0, -13.0, 3.0, -10.0])
+    lo, hi = vvc_bounds(e_d, v_goal, -10.0, 10.0, cfg)
+    for i in range(len(e_d)):
+        one_lo, one_hi = vvc_bounds(e_d[i:i + 1], float(v_goal[i]), -10.0, 10.0, cfg)
+        assert lo[i:i + 1].tobytes() == one_lo.tobytes()
+        assert hi[i:i + 1].tobytes() == one_hi.tobytes()
 
 
 def test_vvc_config_validation():

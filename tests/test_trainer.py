@@ -113,7 +113,7 @@ def test_batch_rollout_matches_scalar_rollouts():
     rng = np.random.default_rng(0)
     thetas = np.stack([perturb(init_params(SPEC4, rng), 30.0, rng)
                        for _ in range(8)])
-    s, p, j, c, steps, _, _ = batch_rollout(thetas, SPEC4, task, env, 40, 1)
+    s, p, j, c, steps, _, _ = batch_rollout(thetas, SPEC4, [task], env, 40, 1)
     for i in range(8):
         ri = rollout(thetas[i], task, env, SPEC4, 40)
         assert (ri.success, ri.pathlength, ri.reward, ri.crashed, ri.steps) == \
@@ -158,11 +158,11 @@ def test_batch_rollout_compaction_is_lane_exact():
         for rich in (None, (1.0, 2.0, 0.5, 0.1)):
             for t_goal in (1, 3):
                 for mirror in ((False, True) if env.kind == "vehicle" else (False,)):
-                    out = batch_rollout(thetas, spec, task, env, t_max, t_goal,
+                    out = batch_rollout(thetas, spec, [task], env, t_max, t_goal,
                                         rich_weights=rich, mirror=mirror)
                     batch_kinds = set()
                     for i in range(len(thetas)):
-                        one = batch_rollout(thetas[i:i + 1], spec, task, env, t_max,
+                        one = batch_rollout(thetas[i:i + 1], spec, [task], env, t_max,
                                             t_goal, rich_weights=rich, mirror=mirror)
                         for a, b in zip(out[:5], one[:5]):
                             assert a[i:i + 1].tobytes() == b.tobytes()
@@ -171,7 +171,7 @@ def test_batch_rollout_compaction_is_lane_exact():
                         kind = _finish_kind(out[0][i], out[3][i], out[4][i])
                         # a lane stops where it met its goal or left the track
                         if kind.startswith("goal"):
-                            assert env.goal_mask(end, env.constants(task))[0]
+                            assert env.goal_mask(end, env.constants([task], 1))[0]
                         elif kind == "crash":
                             assert not _on_track(env, end)
                         batch_kinds.add(kind)
@@ -194,11 +194,14 @@ class ScriptedGoalEnv:
     def feature_dim(self, task):
         return 1
 
-    def constants(self, task):
-        return task
+    def constants(self, task_list, n):
+        return self  # no per-lane columns
 
-    def init_arrays(self, task, n):
-        return np.zeros((1, n))
+    def compact(self, keep):
+        return self
+
+    def init_arrays(self, task_list, n):
+        return np.zeros((1, len(task_list) * n))
 
     def goal_mask(self, S, c):
         t = int(S[0, 0])
@@ -222,18 +225,93 @@ def test_batch_rollout_goal_run_resets():
                                          ((1, 1), 2, 0, 2),
                                          ((1, 1, 0, 1, 1), 5, 0, 5)]:
         s, _, j, _, n_steps, _, _ = batch_rollout(
-            np.zeros(2), spec, task, ScriptedGoalEnv(flags), t_max, 3)
+            np.zeros(2), spec, [task], ScriptedGoalEnv(flags), t_max, 3)
         assert (s[0], n_steps[0]) == (success, steps), flags
         # the reward counts every step tested, the final goal step included
         assert j[0] == -(steps + success)
 
 
-def test_batch_rollout_record_requires_single_lane():
-    env = small_env()
-    task = freeform_task((0, 0, 0, 0), (3, 0, 0, 0))
-    with pytest.raises(ValueError):
-        batch_rollout(np.zeros((2, param_count(SPEC4))), SPEC4, task, env, 5, 1,
-                      record=True)
+def _fold_cases():
+    """(name, env, tasks, t_max, mirror options): task lists whose goals,
+    tolerances, goal speeds (one beyond v_max), horizons and success
+    windows differ from task to task."""
+    vtol = Tolerances(0.5, 0.5, 3.0)
+    box = dict(Ts=0.1, workspace=(-4.0, -4.0, 5.0, 4.0), obstacles=((1.4, -0.3, 1.8, 0.3),))
+    vehicle = [  # small parameters back the car down the -x axis
+        freeform_task((0, 0, 0, 0), (-1.0, 0, 0, -1.5), Tolerances(0.4, 0.5, 1.0), GOAL5,
+                      task_id="behind"),
+        Task("diag", "vehicle", (0, 0, 0.3, 1.0), (0.8, 0.6, 0.5, 2.0),
+             Tolerances(0.8, 1.0, 4.0), GOAL5, t_max=9, t_goal=2),
+        Task("far", "vehicle", (0, 0, 0, 0), (-2.5, 0, 0, -2.5),
+             Tolerances(0.6, 0.6, 1.5), GOAL5, t_max=22, t_goal=3),
+        Task("fast", "vehicle", (0, 0, 0, 0), (-3.0, 0, 0, -12.0),
+             Tolerances(0.8, 0.5, 9.0), GOAL5, t_goal=2),
+    ]
+    pendulum = [
+        pendulum_tasks("swingup")[0],
+        Task("tilted", PENDULUM, (0, 0, 0.4, 0), (0, 0, 0, 0),
+             Tolerances(1.0, 0.2, 1.0), PENDULUM4, t_goal=4),
+        Task("short", PENDULUM, (0, 0, -0.3, 0.5), (0, 0, 0, 0),
+             Tolerances(1.0, 0.1, 1.0), PENDULUM4, t_max=17),
+    ]
+    return [
+        ("vehicle-vvc-constant",
+         VehicleEnv(VehicleParams(**box), vvc=VvcConfig(VVC_CONSTANT, r_thresh=0.8)),
+         vehicle, 25, (False, True)),
+        ("vehicle-vvc-spatial",
+         VehicleEnv(VehicleParams(**box), vvc=VvcConfig(VVC_SPATIAL, r_thresh=0.8)),
+         vehicle, 25, (False,)),
+        ("pendulum", PendulumEnv(PendulumParams(p_limit=1.0)), pendulum, 60, (False,)),
+    ]
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _fold_cases()])
+def test_folded_lanes_match_single_task_rollouts(case):
+    # lanes are (task, candidate) pairs; each must equal its task rolled out
+    # alone on one lane, bit for bit: the five outputs, the terminal column
+    # and the recorded trajectory
+    _, env, task_list, t_max, mirrors = next(c for c in _fold_cases() if c[0] == case)
+    spec = MlpSpec((env.feature_dim(task_list[0]), 6, env.control_dim))
+    rng = np.random.default_rng(5)
+    n = 8
+    thetas = rng.normal(0.0, 1.0, (n, param_count(spec))) * np.geomspace(0.01, 3.0, n)[:, None]
+    kinds = set()
+    for rich in (None, (1.0, 2.0, 0.5, 0.1)):
+        for mirror in mirrors:
+            out = batch_rollout(thetas, spec, task_list, env, t_max, 1,
+                                rich_weights=rich, record=True, mirror=mirror)
+            assert len(out[0]) == len(out[5]) == len(task_list) * n
+            for k, task in enumerate(task_list):
+                for i in range(n):
+                    lane = k * n + i
+                    one = batch_rollout(thetas[i], spec, [task], env, t_max, 1,
+                                        rich_weights=rich, record=True, mirror=mirror)
+                    for a, b in zip(out[:5], one[:5]):
+                        assert a[lane:lane + 1].tobytes() == b.tobytes(), (task.id, i)
+                    assert out[6][:, lane:lane + 1].tobytes() == one[6].tobytes()
+                    assert out[5][lane].tobytes() == one[5][0].tobytes()
+                    assert out[4][lane] <= (task.t_max or t_max)
+                    kinds.add(_finish_kind(out[0][lane], out[3][lane], out[4][lane]))
+    assert {"goal run", "timeout"} <= kinds
+
+
+def test_evaluate_batch_matches_per_task_sum():
+    # the folded fan-out adds each task's lanes in task order, the sum a
+    # loop of one-task rollouts makes
+    _, env, task_list, t_max, _ = _fold_cases()[0]
+    rng = np.random.default_rng(6)
+    thetas = rng.normal(0.0, 1.0, (6, param_count(SPEC5))) * np.geomspace(0.01, 3.0, 6)[:, None]
+    for rich in (None, (1.0, 2.0, 0.5, 0.1)):
+        expected = np.zeros((6, 4))
+        for task in task_list:
+            s, p, j, c, _, _, _ = batch_rollout(thetas, SPEC5, [task], env, t_max, 2,
+                                                rich_weights=rich)
+            expected[:, 0] += s
+            expected[:, 1] += p
+            expected[:, 2] += j
+            expected[:, 3] = np.logical_or(expected[:, 3], c)
+        got = evaluate_batch(thetas, task_list, env, SPEC5, t_max, 2, rich_weights=rich)
+        assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- mirroring
@@ -649,7 +727,7 @@ def test_batch_rollout_golden_bits(case):
         for rich_weights in riches:
             for t_goal in (1, 3):
                 for mirror in mirrors:
-                    out = batch_rollout(thetas, spec, task, env, t_max, t_goal,
+                    out = batch_rollout(thetas, spec, [task], env, t_max, t_goal,
                                         rich_weights=rich_weights, mirror=mirror)
                     for a in out[:5]:
                         h.update(a.tobytes())
