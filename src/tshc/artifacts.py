@@ -15,8 +15,7 @@ import tempfile
 
 import numpy as np
 
-from . import tasks as tasklib
-from .config import tolerances_from_dict, tolerances_to_dict
+from .config import GOAL_TUPLE, TASK, dump, load
 
 CHECKPOINT_FORMAT = "tshc-checkpoint-v1"
 # what replay and plot read from every checkpoint
@@ -39,48 +38,15 @@ def _atomic_write(path, text):
         raise
 
 
-def task_to_dict(task):
-    return {
-        "id": task.id,
-        "env_kind": task.env_kind,
-        "z0": list(task.z0),
-        "z_goal": list(task.z_goal),
-        "tolerances": tolerances_to_dict(task.tol),
-        "feature_recipe": task.feature_recipe,
-        "t_max": task.t_max,
-        "t_goal": task.t_goal,
-    }
-
-
-# the keys every task-file entry must have; t_max and t_goal may be absent
-TASK_KEYS = ("id", "env_kind", "z0", "z_goal", "tolerances", "feature_recipe")
-
-
-def task_from_dict(d, path="task"):
-    """The ``Task`` of a task-file entry; a missing key or an invalid value
-    raises a ``ValueError`` that names ``path``."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{path}: expected a mapping, got {d!r}")
-    missing = [key for key in TASK_KEYS if key not in d]
-    if missing:
-        raise ValueError(f"{path} has no {', '.join(missing)}")
-    tol = tolerances_from_dict(d["tolerances"], f"{path}.tolerances")
-    try:
-        return tasklib.Task(d["id"], d["env_kind"], tuple(d["z0"]), tuple(d["z_goal"]),
-                            tol, d["feature_recipe"], d.get("t_max"), d.get("t_goal"))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def task_digest(task_list):
-    payload = json.dumps([task_to_dict(t) for t in task_list], sort_keys=True)
+    payload = json.dumps([dump(t, TASK) for t in task_list], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def write_task_list(path, task_list):
     doc = {"format": TASKLIST_FORMAT,
            "digest": task_digest(task_list),
-           "tasks": [task_to_dict(t) for t in task_list]}
+           "tasks": [dump(t, TASK) for t in task_list]}
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
@@ -91,7 +57,7 @@ def read_task_list(path):
         raise ValueError(f"{path}: not a task-list file")
     if "tasks" not in doc:
         raise ValueError(f"{path}: task-list file has no tasks")
-    return [task_from_dict(d, f"{path}: tasks[{i}]") for i, d in enumerate(doc["tasks"])]
+    return list(load(doc["tasks"], [TASK], f"{path}: tasks"))
 
 
 def write_checkpoint(path, spec, theta, norm, task_list, env_config, seed,
@@ -104,11 +70,7 @@ def write_checkpoint(path, spec, theta, norm, task_list, env_config, seed,
         "task_digest": task_digest(task_list),
         "env": env_config,
         "seed": seed,
-        "goal_tuples": [
-            {"achieved": list(g.z_hat_goal), "commanded": list(g.z_goal),
-             "task_id": g.task_id}
-            for g in goal_tuples
-        ],
+        "goal_tuples": [dump(g, GOAL_TUPLE) for g in goal_tuples],
     }
     if replay is not None:
         doc["replay"] = replay
@@ -130,15 +92,7 @@ def read_checkpoint(path):
     if missing:
         raise ValueError(f"{path}: checkpoint has no {', '.join(missing)}")
     doc["theta"] = np.asarray(doc["theta"], dtype=float)
-    for i, g in enumerate(doc["goal_tuples"]):
-        for key in ("achieved", "commanded"):
-            if key not in g:
-                raise ValueError(f"{path}: checkpoint goal_tuples[{i}] has no {key}")
-    doc["goal_tuples"] = [
-        tasklib.GoalTuple(tuple(g["achieved"]), tuple(g["commanded"]),
-                          g.get("task_id", ""))
-        for g in doc["goal_tuples"]
-    ]
+    doc["goal_tuples"] = list(load(doc["goal_tuples"], [GOAL_TUPLE], f"{path}: goal_tuples"))
     return doc
 
 

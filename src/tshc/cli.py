@@ -14,6 +14,8 @@ file name embeds the run seed.
 """
 
 import argparse
+import dataclasses
+import math
 import os
 import re
 import sys
@@ -21,10 +23,9 @@ import time
 
 from . import artifacts, plotting, trainer
 from . import tasks as tasklib
-from .config import (ConfigError, DEFAULT_OUTPUT_ENV_VAR, VEHICLE_STATE, env_from_config,
-                     load_run_config, parse_quantity, tolerances_from_dict,
-                     tolerances_to_dict)
-from .policy import MlpSpec
+from .config import (REPLAY, ConfigError, DEFAULT_OUTPUT_ENV_VAR, VEHICLE_STATE, dump,
+                     env_from_config, load, load_run_config, parse_quantity)
+from .policy import MlpSpec, param_count
 from .trainer import rollout, tshc_run
 
 
@@ -51,12 +52,8 @@ def cmd_train(args):
         os.unlink(log_path)
 
     cfg = run.training
-    replay_meta = {
-        "t_max": cfg.t_max,
-        "t_goal": cfg.t_goal,
-        "feature_recipe": run.task_list[0].feature_recipe,
-        "tolerances": tolerances_to_dict(run.task_list[0].tol),
-    }
+    replay_meta = dump(dataclasses.replace(run.task_list[0], t_max=cfg.t_max,
+                                           t_goal=cfg.t_goal), REPLAY)
 
     def on_iteration(rec):
         artifacts.append_log_record(log_path, rec)
@@ -114,11 +111,14 @@ def _parse_setpoint(text):
     if len(parts) != 4:
         _fail(f"--setpoint expects 'x,y,psi,v', got {text!r}")
     try:
-        return tuple(parse_quantity(p.strip() if " " in p.strip() else float(p), k,
-                                    "setpoint")
-                     for p, k in zip(parts, VEHICLE_STATE))
+        setpoint = tuple(parse_quantity(p.strip() if " " in p.strip() else float(p), k,
+                                        "setpoint")
+                         for p, k in zip(parts, VEHICLE_STATE))
     except (ConfigError, ValueError) as exc:
         _fail(f"--setpoint: {exc}")
+    if not all(map(math.isfinite, setpoint)):
+        _fail(f"--setpoint: expected finite values, got {text!r}")
+    return setpoint
 
 
 def _slug(text):
@@ -127,16 +127,25 @@ def _slug(text):
 
 def _read_checkpoint(args):
     """The checkpoint ``args.checkpoint``, its rebuilt environment, policy
-    spec and replay horizon (t_max, t_goal); a checkpoint that cannot be
-    read or rebuilt exits 2."""
+    spec and replay template, a setpoint ``Task`` whose ``t_max`` and
+    ``t_goal`` are the replay horizon; a checkpoint that cannot be read or
+    rebuilt, or whose policy does not fit its environment, exits 2."""
+    path = args.checkpoint
     try:
-        doc = artifacts.read_checkpoint(args.checkpoint)
+        doc = artifacts.read_checkpoint(path)
         env = env_from_config(doc["env"], doc["normalization"])
-        replay_meta = doc.get("replay", {})
-        horizon = int(replay_meta.get("t_max", 1000)), int(replay_meta.get("t_goal", 1))
-        return doc, env, MlpSpec(tuple(doc["layer_sizes"])), horizon
+        replay = load(doc.get("replay", {}), REPLAY, f"{path}: replay", env_kind=env.kind)
+        doc["seed"] = load(doc.get("seed", 0), int, f"{path}: seed")
+        spec = MlpSpec(load(doc["layer_sizes"], [int], f"{path}: layer_sizes"))
     except (OSError, ValueError) as exc:  # ConfigError included
         _fail(exc)
+    if doc["theta"].shape != (param_count(spec),):
+        _fail(f"{path}: parameter vector has length {doc['theta'].size}, "
+              f"spec {spec.layer_sizes} needs {param_count(spec)}")
+    if spec.output_dim != env.control_dim:
+        _fail(f"{path}: policy outputs {spec.output_dim} channels, "
+              f"environment needs {env.control_dim}")
+    return doc, env, spec, replay
 
 
 def _read_tasks(args, option):
@@ -167,7 +176,7 @@ def _check_mirror(args, env):
 
 
 def cmd_replay(args):
-    doc, env, spec, (t_max, t_goal) = _read_checkpoint(args)
+    doc, env, spec, replay = _read_checkpoint(args)
     if args.mirror:
         _check_mirror(args, env)
     if args.task is not None:
@@ -188,15 +197,7 @@ def cmd_replay(args):
         lookup_point = tasklib.mirror_goal(setpoint) if args.mirror else setpoint
         tup = tasklib.nearest_goal_lookup(lookup_point, store)
         goal = tasklib.mirror_goal(tup.z_goal) if args.mirror else tup.z_goal
-        replay_meta = doc.get("replay", {})
-        tol = tasklib.DEFAULT_VEHICLE_TOL
-        if "tolerances" in replay_meta:
-            try:
-                tol = tolerances_from_dict(replay_meta["tolerances"], "replay.tolerances")
-            except ValueError as exc:
-                _fail(f"{args.checkpoint}: {exc}")
-        task = tasklib.Task("setpoint", tasklib.VEHICLE, (0.0, 0.0, 0.0, 0.0), goal, tol,
-                            replay_meta.get("feature_recipe", tasklib.GOAL5))
+        task = dataclasses.replace(replay, z_goal=goal)
 
     if task.env_kind != env.kind:
         _fail(f"checkpoint environment is {env.kind!r} but task "
@@ -207,12 +208,11 @@ def cmd_replay(args):
     if args.task is not None:
         _check_digest(args, doc, task_list)
 
-    res = rollout(doc["theta"], task, env, spec, t_max, t_goal,
+    res = rollout(doc["theta"], task, env, spec, replay.t_max, replay.t_goal,
                   record=True, mirror=args.mirror)
     out = args.output_dir or os.environ.get(DEFAULT_OUTPUT_ENV_VAR, ".")
     os.makedirs(out, exist_ok=True)
-    seed = doc.get("seed", 0)
-    base = os.path.join(out, f"replay_{_slug(task.id)}_seed{seed}")
+    base = os.path.join(out, f"replay_{_slug(task.id)}_seed{doc['seed']}")
     artifacts.write_trajectory_csv(base + ".csv", env.csv_columns, res.trajectory)
     artifacts.write_summary(base + ".json", {
         "task": task.id, "F": res.success, "P": res.pathlength,
@@ -229,11 +229,11 @@ def cmd_plot(args):
     goals = []
     if args.checkpoint is not None:
         task_list = _read_tasks(args, "--checkpoint")
-        doc, env, spec, (t_max, t_goal) = _read_checkpoint(args)
+        doc, env, spec, replay = _read_checkpoint(args)
         _check_digest(args, doc, task_list)
         # every task in one recorded rollout, a lane per task
-        recorded = trainer.batch_rollout(doc["theta"], spec, task_list, env, t_max,
-                                         t_goal, record=True)[5]
+        recorded = trainer.batch_rollout(doc["theta"], spec, task_list, env, replay.t_max,
+                                         replay.t_goal, record=True)[5]
         for task, rows in zip(task_list, recorded):
             trajectories.append((task.id, rows[:, 0].tolist(), rows[:, 1].tolist()))
             goals.append((task.z_goal[0], task.z_goal[1]))

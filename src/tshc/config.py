@@ -7,7 +7,9 @@ bare numbers are taken as SI (m, m/s, rad, s).
 Each section is described once, by a table that maps a config key to the
 field (or, for a ``[min, max]`` pair, the two fields) it sets and the kind
 of its value.  The same table reads the section and writes the SI env dict
-that checkpoints embed.
+that checkpoints embed.  The formats of the files tshc reads back (task
+entries, goal tuples, a checkpoint's replay block) are tables too, read
+and written only through ``load`` and ``dump``.
 """
 
 import functools
@@ -67,17 +69,19 @@ def parse_quantity(value, kind, path="value"):
 class _Section(NamedTuple):  # kind of a mapping read into cls through table
     cls: object
     table: dict
+    fallback: dict = {}  # fields the mapping may override; never mutated
 
 
-def _value(raw, kind, path):
-    """One config value of ``kind``: a unit kind of ``_UNIT_FACTORS`` (a
-    quantity, in SI), exactly an ``int``, ``bool`` or ``str``, a tuple of
-    kinds (a list of that many values), a one-kind list (a list of any
-    length) or a ``_Section``.  Errors name the dotted key and index."""
+def load(raw, kind, path, **fixed):
+    """One value of ``kind``: a unit kind of ``_UNIT_FACTORS`` (a quantity,
+    in SI), exactly an ``int``, ``bool`` or ``str``, a tuple of kinds (a
+    list of that many values), a one-kind list (a list of any length) or a
+    ``_Section``, whose ``fixed`` fields join its fallback.  Errors are
+    ``ConfigError``s that name the dotted key and index."""
     if isinstance(kind, str):
         return parse_quantity(raw, kind, path)
     if isinstance(kind, _Section):
-        return _section(raw, path, kind.cls, kind.table)
+        return _section(raw, path, kind.cls, kind.table, **{**kind.fallback, **fixed})
     if isinstance(kind, type):
         if not isinstance(raw, kind) or (kind is int and isinstance(raw, bool)):
             raise ConfigError(f"{path}: expected {kind.__name__}, got {raw!r}")
@@ -87,7 +91,7 @@ def _value(raw, kind, path):
     kinds = kind if isinstance(kind, tuple) else kind * len(raw)
     if len(raw) != len(kinds):
         raise ConfigError(f"{path}: expected {len(kinds)} values, got {len(raw)}")
-    return tuple(_value(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(raw, kinds)))
+    return tuple(load(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(raw, kinds)))
 
 
 def _mapping(doc, path):
@@ -108,20 +112,25 @@ def _check_keys(doc, allowed, required, path):
 
 def _section(doc, path, cls, table, **fixed):
     """``cls(**fields)`` from the mapping ``doc`` read through ``table``
-    (config key -> (field or field pair, kind)), plus the ``fixed`` fields.
+    (config key -> (field or field pair, kind)), over the ``fixed`` fields.
 
-    A key whose fields have no default in ``cls`` is required; absent
-    fields keep their defaults.  A ``ValueError`` raised by ``cls`` is
-    prefixed with the section path.
+    A key whose fields have no default in ``cls`` and are not fixed is
+    required; absent fields keep their defaults, and ``null`` leaves a
+    field whose default is None unset.  A ``ValueError`` raised by ``cls``
+    is prefixed with the section path.
     """
     params = _signature(cls).parameters
-    required = [key for key, (field, _) in table.items()  # a pair's fields share defaults
-                if params[field[0] if isinstance(field, tuple) else field].default
-                is inspect.Parameter.empty]
+
+    def default(field):  # a pair's fields share defaults
+        return params[field[0] if isinstance(field, tuple) else field].default
+    required = [key for key, (field, _) in table.items()
+                if default(field) is inspect.Parameter.empty and field not in fixed]
     _check_keys(doc, table, required, path)
     for key, raw in doc.items():
         field, kind = table[key]
-        value = _value(raw, kind, f"{path}.{key}")
+        if raw is None and default(field) is None:
+            continue
+        value = load(raw, kind, f"{path}.{key}")
         fixed.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
     try:
         return cls(**fixed)
@@ -130,12 +139,20 @@ def _section(doc, path, cls, table, **fixed):
 
 
 def _dump(obj, table):
-    """The SI dict of a section read by ``_section``: lists for tuples."""
-    def plain(value):
+    """The SI dict of a section read by ``_section``: lists for tuples,
+    dicts for nested sections."""
+    def plain(value, kind=None):
+        if isinstance(kind, _Section):
+            return _dump(value, kind.table)
         return [plain(v) for v in value] if isinstance(value, tuple) else value
     return {key: plain(tuple(getattr(obj, f) for f in field) if isinstance(field, tuple)
-                       else getattr(obj, field))
-            for key, (field, _) in table.items()}
+                       else getattr(obj, field), kind)
+            for key, (field, kind) in table.items()}
+
+
+def dump(obj, section):
+    """The JSON dict of ``obj``, a value that ``load`` reads as ``section``."""
+    return _dump(obj, section.table)
 
 
 def _same_names(**kinds):
@@ -161,9 +178,25 @@ _PENDULUM_NORM = _same_names(dp="length", dp_dot="speed", dtheta="angle",
                              dtheta_dot="angrate")
 
 # the {d, psi, v} tolerances of configs, task files and checkpoints
-_TOLERANCE_KEYS = {"d": ("eps_d", "length"), "psi": ("eps_psi", "angle"),
-                   "v": ("eps_v", "speed")}
-_TOLERANCES = ("tol", _Section(Tolerances, _TOLERANCE_KEYS))
+TOLERANCES = _Section(Tolerances, {"d": ("eps_d", "length"), "psi": ("eps_psi", "angle"),
+                                   "v": ("eps_v", "speed")})
+_TOLERANCES = ("tol", TOLERANCES)
+_STATE = ("plain",) * 4  # a stored state or goal, in SI
+# an entry of a task file
+TASK = _Section(tasklib.Task, {
+    **_same_names(id=str, env_kind=str, z0=_STATE, z_goal=_STATE), "tolerances": _TOLERANCES,
+    **_same_names(feature_recipe=str, t_max=int, t_goal=int)})
+# a checkpoint's goal tuple
+GOAL_TUPLE = _Section(tasklib.GoalTuple, {"achieved": ("z_hat_goal", _STATE),
+                                          "commanded": ("z_goal", _STATE),
+                                          "task_id": ("task_id", str)})
+# a checkpoint's replay block, read as the template of a setpoint task (its
+# env_kind fixed to the checkpoint's) whose t_max and t_goal are the replay
+# horizon; an absent key keeps its fallback
+REPLAY = _Section(tasklib.Task, {
+    **_same_names(t_max=int, t_goal=int, feature_recipe=str), "tolerances": _TOLERANCES},
+    dict(id="setpoint", z0=(0.0,) * 4, z_goal=(0.0,) * 4, t_max=1000, t_goal=1,
+         feature_recipe=tasklib.GOAL5, tol=tasklib.DEFAULT_VEHICLE_TOL))
 # unit kinds of a vehicle state or setpoint (x, y, psi, v)
 VEHICLE_STATE = ("length", "length", "angle", "speed")
 # generator -> (task-list builder, env kind it needs, key table)
@@ -176,17 +209,6 @@ _GENERATORS = {
     "pendulum": (tasklib.pendulum_tasks, tasklib.PENDULUM, {
         "tolerances": _TOLERANCES, **_same_names(kind=str, t_goal=int)}),
 }
-
-
-def tolerances_to_dict(tol: Tolerances):
-    """The {d, psi, v} dict of ``tol``, in SI."""
-    return _dump(tol, _TOLERANCE_KEYS)
-
-
-def tolerances_from_dict(doc, path="tolerances"):
-    """``Tolerances`` from a {d, psi, v} dict; all three keys are required,
-    and an error names ``path`` and the key."""
-    return _section(doc, path, Tolerances, _TOLERANCE_KEYS)
 
 
 _POLICY = _same_names(layer_sizes=[int])
@@ -251,12 +273,12 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
     _check_keys(doc, {"seed", "output_dir", "policy", "env", "vvc",
                       "normalization", "tasks", "training", "workers"},
                 {"seed", "policy", "env", "tasks", "training"}, "config")
-    seed = _value(doc["seed"], int, "config.seed")
+    seed = load(doc["seed"], int, "config.seed")
     spec = _section(doc["policy"], "policy", MlpSpec, _POLICY)
     env, norm, env_config = _build_env(doc["env"], doc.get("vvc"),
                                        doc.get("normalization", {}))
     task_list = _build_tasks(doc["tasks"], env.kind)
-    config_workers = (_value(doc["workers"], int, "config.workers") if "workers" in doc
+    config_workers = (load(doc["workers"], int, "config.workers") if "workers" in doc
                       else os.cpu_count() or 1)
     training = _section(doc["training"], "training", TshcConfig, _TRAINING, seed=seed,
                         workers=config_workers if workers is None else workers)

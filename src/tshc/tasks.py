@@ -42,9 +42,9 @@ class Task:
 
     def __post_init__(self):
         if self.env_kind not in (VEHICLE, PENDULUM):
-            raise ValueError(f"unknown env kind {self.env_kind!r}")
+            raise ValueError(f"env_kind: unknown kind {self.env_kind!r}")
         if self.feature_recipe not in RECIPE_DIMS:
-            raise ValueError(f"unknown feature recipe {self.feature_recipe!r}")
+            raise ValueError(f"feature_recipe: unknown recipe {self.feature_recipe!r}")
         z0 = tuple(float(v) for v in self.z0)
         z_goal = tuple(float(v) for v in self.z_goal)
         if len(z0) != 4 or len(z_goal) != 4:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import textwrap
@@ -381,12 +382,12 @@ def test_task_file_missing_key_is_an_error(tmp_path, capsys):
     ckpt = str(out / "checkpoint_seed3.json")
     complete = json.loads((out / "tasks_seed3.json").read_text())
     path = tmp_path / "tasks.json"
-    edits = [(f"tasks[0] has no {key}", lambda doc, key=key: doc["tasks"][0].pop(key))
-             for key in artifacts.TASK_KEYS]
-    edits += [("tasks[0].tolerances.psi", lambda doc: doc["tasks"][0]["tolerances"].pop("psi")),
+    edits = [(f"tasks[0].{key}: missing required key",
+              lambda doc, key=key: doc["tasks"][0].pop(key))
+             for key in ("id", "env_kind", "z0", "z_goal", "tolerances", "feature_recipe")]
+    edits += [("tasks[0].tolerances.psi: missing required key",
+               lambda doc: doc["tasks"][0]["tolerances"].pop("psi")),
               ("has no tasks", lambda doc: doc.pop("tasks"))]
-    assert {"id", "z0", "z_goal", "env_kind", "feature_recipe",
-            "tolerances"} == set(artifacts.TASK_KEYS)
     for expected, edit in edits:
         doc = json.loads(json.dumps(complete))
         edit(doc)
@@ -451,3 +452,139 @@ def test_replay_mirror_is_refused_for_pendulum(tmp_path, capsys):
               "--tasks", str(out / "tasks_seed3.json"), "--mirror"])
     assert err.value.code == 2
     assert "vehicle" in capsys.readouterr().err
+
+
+def set_in(keys, value):
+    """An edit that sets doc[k0][k1]... to ``value``."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+CHECKPOINT, TASKS = "checkpoint_seed3.json", "tasks_seed3.json"
+
+
+@pytest.mark.parametrize("name, keys, value, key", [
+    (CHECKPOINT, ("replay", "t_max"), -3, "t_max"),
+    (CHECKPOINT, ("replay", "t_goal"), 0, "t_goal"),
+    (CHECKPOINT, ("replay", "t_max"), 2.7, "replay.t_max"),
+    (CHECKPOINT, ("replay", "t_max"), True, "replay.t_max"),
+    (CHECKPOINT, ("replay", "feature_recipe"), "nope", "feature_recipe"),
+    (CHECKPOINT, ("replay", "colour"), "red", "replay.colour"),
+    (CHECKPOINT, ("goal_tuples", 0, "achieved"), [0, 0, 0], "goal_tuples[0].achieved"),
+    (CHECKPOINT, ("goal_tuples", 0, "achieved"), "0000", "goal_tuples[0].achieved"),
+    (CHECKPOINT, ("goal_tuples", 0, "achieved"), 0, "goal_tuples[0].achieved"),
+    (CHECKPOINT, ("goal_tuples", 0), 5, "goal_tuples[0]"),
+    (CHECKPOINT, ("goal_tuples", 0, "colour"), "red", "goal_tuples[0].colour"),
+    (TASKS, ("tasks", 0, "z0"), "0000", "tasks[0].z0"),
+    (TASKS, ("tasks", 0, "colour"), "red", "tasks[0].colour"),
+], ids=["replay_t_max_negative", "replay_t_goal_zero", "replay_t_max_fraction",
+        "replay_t_max_bool", "replay_recipe", "replay_unknown_key", "achieved_three",
+        "achieved_string", "achieved_scalar", "goal_tuple_scalar", "goal_tuple_unknown_key",
+        "task_z0_string", "task_unknown_key"])
+def test_malformed_artifact_value_exits_two(tmp_path, capsys, name, keys, value, key):
+    # task entries, goal tuples and the replay block are read through strict
+    # tables: a bad value or an unknown key is an error line naming the file
+    # and the key, with exit 2 and no output, not a traceback or a replay
+    _, out = train(tmp_path, GRID_YAML)
+    edit_checkpoint(out / name, set_in(keys, value))
+    ckpt, tasks, replays = str(out / CHECKPOINT), str(out / TASKS), tmp_path / "replays"
+    argvs = [["replay", ckpt, "--task", "heading10", "--tasks", tasks,
+              "--output-dir", str(replays)],
+             ["plot", "--checkpoint", ckpt, "--tasks", tasks, "-o", str(replays / "p.svg")]]
+    if name == CHECKPOINT:
+        argvs.append(["replay", ckpt, "--setpoint", "0,0,10 deg,0", "--output-dir", str(replays)])
+    for argv in argvs:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        message = capsys.readouterr().err
+        assert message.startswith(f"error: {out / name}: ") and key in message, message
+    assert not replays.exists()
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda doc: doc["theta"].pop(), "parameter vector has length 65, spec (5, 8, 2) needs 66"),
+    (lambda doc: doc.update(layer_sizes=[5, 8, 1], theta=doc["theta"][:57]),
+     "policy outputs 1 channels, environment needs 2"),
+], ids=["theta_length", "vehicle_one_output"])
+def test_checkpoint_policy_must_fit_theta_and_env(tmp_path, capsys, edit, expected):
+    _, out = train(tmp_path, GRID_YAML)
+    ckpt, tasks = out / CHECKPOINT, str(out / TASKS)
+    edit_checkpoint(ckpt, edit)
+    for argv in (["replay", str(ckpt), "--task", "heading10", "--tasks", tasks,
+                  "--output-dir", str(tmp_path / "replays")],
+                 ["plot", "--checkpoint", str(ckpt), "--tasks", tasks,
+                  "-o", str(tmp_path / "replays" / "p.svg")]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: {expected}\n"
+    assert not (tmp_path / "replays").exists()
+
+
+@pytest.mark.parametrize("seed", ["3/../../escaped", True, 3.0])
+def test_checkpoint_seed_must_be_an_integer(tmp_path, capsys, seed):
+    # the seed names the replay files; a path in it must not place them
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    ckpt = out / CHECKPOINT
+    edit_checkpoint(ckpt, set_in(("seed",), seed))
+    (out / "replay_freeform_seed3").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["replay", str(ckpt), "--task", "freeform", "--tasks", str(out / TASKS),
+              "--output-dir", str(out)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: seed: expected int")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("setpoint", ["nan,0,0,0", "inf,0,0,0", "0,0,-inf deg,0"])
+def test_non_finite_setpoint_exits_two(tmp_path, capsys, setpoint):
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["replay", str(out / CHECKPOINT), "--setpoint", setpoint,
+              "--output-dir", str(tmp_path / "replays")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("error: --setpoint: expected finite")
+    assert not (tmp_path / "replays").exists()
+
+
+@pytest.mark.parametrize("replay", [None, {}, {"t_max": None, "t_goal": None}])
+def test_replay_block_fallbacks(tmp_path, monkeypatch, replay):
+    # without a replay block, or with null horizons, a setpoint is served
+    # for 1000 steps, a 1-step goal window, goal5 and the published tolerances
+    _, out = train(tmp_path, GRID_YAML)
+    ckpt = out / CHECKPOINT
+    edit_checkpoint(ckpt, lambda doc: doc.pop("replay") if replay is None
+                    else doc.update(replay=replay))
+    served = []
+    real_rollout = cli.rollout
+
+    def spy(theta, task, env, spec, t_max, t_goal, **kwargs):
+        served.append((task, t_max, t_goal))
+        return real_rollout(theta, task, env, spec, t_max, t_goal, **kwargs)
+
+    monkeypatch.setattr(cli, "rollout", spy)
+    assert main(["replay", str(ckpt), "--setpoint", "0,0,10 deg,0",
+                 "--output-dir", str(out)]) == 0
+    task, t_max, t_goal = served[0]
+    assert (t_max, t_goal, task.feature_recipe, task.tol) == (
+        1000, 1, "goal5", DEFAULT_VEHICLE_TOL)
+    assert task.id == "setpoint" and task.z0 == (0.0,) * 4
+
+
+def test_train_artifact_bytes_are_unchanged(tmp_path):
+    # task file and checkpoint are written by the format tables; their bytes
+    # must stay the ones the hand-written codecs produced
+    _, out = train(tmp_path, GRID_YAML)
+    assert hashlib.sha256((out / TASKS).read_bytes()).hexdigest() == (
+        "8701dfd5992d6e4584baf649d69cf04c839cf55fdf1f9eca7d376411a927b242")
+    assert hashlib.sha256((out / CHECKPOINT).read_bytes()).hexdigest() == (
+        "7bdf588a356d75e02b95b32021913ec32c4fa1a32cd0e6506f03e07f04866544")
