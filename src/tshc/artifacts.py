@@ -50,9 +50,17 @@ def write_task_list(path, task_list):
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
-def read_task_list(path):
+def _read_object(path):
+    """The JSON object in the file ``path``; other JSON is a ``ValueError``."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def read_task_list(path):
+    doc = _read_object(path)
     if doc.get("format") != TASKLIST_FORMAT:
         raise ValueError(f"{path}: not a task-list file")
     if "tasks" not in doc:
@@ -84,8 +92,7 @@ def write_checkpoint(path, spec, theta, norm, task_list, env_config, seed,
 
 
 def read_checkpoint(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_object(path)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
     missing = [key for key in CHECKPOINT_KEYS if key not in doc]
@@ -108,10 +115,10 @@ def read_log(path):
 
 
 def write_trajectory_csv(path, columns, rows):
+    """Rows of an int step and Python floats, as ``rollout`` records them."""
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if i else str(int(v))
-                              for i, v in enumerate(row)))
+    for t, *values in rows:
+        lines.append(",".join([str(t), *map(repr, values)]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -8,6 +8,7 @@ batched or a one-lane replay; the single-state wrappers over them
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,13 @@ class VehicleParams:
         xmin, ymin, xmax, ymax = self.workspace
         if not (xmin < xmax and ymin < ymax):
             raise ValueError("workspace box is degenerate")
+
+    @cached_property
+    def boxes(self):
+        """(2, 1) low and high corner columns of the workspace, then a pair
+        per obstacle: what ``crash_check_arrays`` compares positions with."""
+        return tuple((np.array([[xmin], [ymin]]), np.array([[xmax], [ymax]]))
+                     for xmin, ymin, xmax, ymax in (self.workspace, *self.obstacles))
 
 
 @dataclass(frozen=True)
@@ -161,12 +169,13 @@ def step_bicycle(s: VehicleState, a: Control, p: VehicleParams) -> VehicleState:
     return VehicleState(nx, ny, npsi, a.v, a.delta, s.t + 1)
 
 
-def crash_check_arrays(x, y, params: VehicleParams):
-    """1 where (x, y) left the workspace or entered an obstacle, else 0."""
-    xmin, ymin, xmax, ymax = params.workspace
-    out = (x < xmin) | (x > xmax) | (y < ymin) | (y > ymax)
-    for oxmin, oymin, oxmax, oymax in params.obstacles:
-        out = out | ((x >= oxmin) & (x <= oxmax) & (y >= oymin) & (y <= oymax))
+def crash_check_arrays(xy, params: VehicleParams):
+    """1 where a position left the workspace or entered an obstacle, else 0;
+    ``xy`` holds x and y as its rows, elementwise over the lanes."""
+    (lo, hi), *obstacles = params.boxes
+    out = np.logical_or.reduce((xy < lo) | (xy > hi), axis=0)
+    for lo, hi in obstacles:
+        out |= np.logical_and.reduce((xy >= lo) & (xy <= hi), axis=0)
     return out
 
 

@@ -10,9 +10,13 @@ k * n + i runs task k with candidate i, so one rollout serves a whole task
 list.  Every method works for a batch of lanes in lockstep, and for one
 lane during replay; each row is contiguous, so a lane drops out of the
 batch with one column selection.  ``constants`` gathers what a rollout
-needs at every step once per call: a goal and tolerance column per lane
-(the task's own goal column and floats when all lanes run one task), the
-feature scales and the control bounds.  Each lane is computed independently, so results are
+needs at every step once per call: goal and tolerance columns (one per
+lane, or one for all lanes of a single task), feature scales and control
+bounds.  A step observes the state once, ``observe``: the vehicle's goal
+difference, heading wrapped, or the cart-pole's state itself; the goal
+test, the features and the control box with VVC all read it, and the goal
+test is one comparison of the (3, lanes) goal errors with the tolerance
+column.  Each lane is computed independently, so results are
 bit-identical no matter how candidates and tasks are grouped into batches.
 """
 
@@ -30,29 +34,29 @@ from .reward import VvcConfig
 class RolloutConstants:
     """Per-call constants of a rollout over a task list in one environment.
 
-    When all lanes run one task, ``goal`` is its (4, 1) column and
-    ``z_goal`` and ``tol`` hold its floats; otherwise ``goal`` has a column
-    per lane and ``z_goal`` and ``tol`` hold per-lane rows.  ``compact``
-    keeps the columns of the live lanes.  The one-task floats pay off in
-    the constant-margin VVC box, whose float goal speed is clipped with
-    builtin ``min``/``max`` instead of ``np.clip``; a one-element array
-    compared with a float is not cheaper than with another array.
+    ``goal`` and ``tol`` are (4, 1) and (3, 1) columns when all lanes run
+    one task and have a column per lane otherwise; ``tol`` holds eps_d,
+    eps_psi and eps_v, the goal test's bounds on the rows of
+    ``reward.goal_errors``.  ``z_goal`` holds the goal's floats for one
+    task and ``goal``'s rows for many.  ``compact`` keeps the columns of
+    the live lanes.  The one-task floats pay off in the constant-margin VVC
+    box, whose float goal speed is clipped with builtin ``min``/``max``
+    instead of ``np.clip``.
     """
 
     recipe: str               # the feature recipe all tasks share
     goal: np.ndarray          # (4, 1 or lanes) goal columns
     z_goal: tuple             # x, y, psi and v of the goal: floats or goal's rows
-    tol: tuple                # eps_d, eps_psi and eps_v: floats or per-lane rows
+    tol: np.ndarray           # (3, 1 or lanes) eps_d, eps_psi and eps_v columns
     scale: np.ndarray         # (4, 1) feature normalization column
     bounds: tuple = ()        # vehicle: control_bounds columns of v and delta
 
     def compact(self, keep):
         """The constants of the lanes ``keep`` (indices into the live lanes)."""
-        if isinstance(self.tol[0], float):
-            return self  # one task: its column and floats serve any lanes
+        if isinstance(self.z_goal[0], float):
+            return self  # one task: its columns and floats serve any lanes
         goal = self.goal[:, keep]
-        return replace(self, goal=goal, z_goal=tuple(goal),
-                       tol=tuple(row[keep] for row in self.tol))
+        return replace(self, goal=goal, z_goal=tuple(goal), tol=self.tol[:, keep])
 
 
 def _constants(task_list, n, scale, bounds=()):
@@ -60,20 +64,19 @@ def _constants(task_list, n, scale, bounds=()):
     if len(recipes) != 1:
         raise ValueError(f"the tasks of one rollout must share a feature recipe, "
                          f"got {sorted(recipes)}")
-    tols = [(t.tol.eps_d, t.tol.eps_psi, t.tol.eps_v) for t in task_list]
+    goal = np.array([task.z_goal for task in task_list]).T
+    tol = np.array([(t.tol.eps_d, t.tol.eps_psi, t.tol.eps_v) for t in task_list]).T
     if len(task_list) == 1:
-        # floats, not one-element rows, for the constant-margin VVC box:
-        # builtin min/max clip a float goal speed in ~0.3 us where np.clip
-        # takes ~2.5 us, twice a step (numpy 2.4, 1-element arrays, 2 shared
-        # vCPUs).  Not for the comparisons: `a < 0.25` takes ~1.0 us, `a < b`
-        # ~0.7 us.  Without this fork 1-lane replays ran ~8% slower with
-        # np.clip, ~3% with np.minimum/np.maximum (one noisy run each).
-        z_goal = task_list[0].z_goal
-        return RolloutConstants(recipes.pop(), np.array(z_goal)[:, None], z_goal,
-                                tols[0], scale, bounds)
-    goal = np.repeat(np.array([task.z_goal for task in task_list]).T, n, axis=1)
-    tol = np.repeat(np.array(tols).T, n, axis=1)
-    return RolloutConstants(recipes.pop(), goal, tuple(goal), tuple(tol), scale, bounds)
+        # the goal's floats, not one-element rows, for the constant-margin
+        # VVC box: builtin min/max clip a float goal speed in ~0.3 us where
+        # np.clip takes ~2.5 us, twice a step (numpy 2.4, 1-element arrays,
+        # 2 shared vCPUs).  Without this fork 1-lane replays ran ~8% slower
+        # with np.clip, ~3% with np.minimum/np.maximum (one noisy run each).
+        return RolloutConstants(recipes.pop(), goal, task_list[0].z_goal, tol, scale,
+                                bounds)
+    goal = np.repeat(goal, n, axis=1)
+    return RolloutConstants(recipes.pop(), goal, tuple(goal), np.repeat(tol, n, axis=1),
+                            scale, bounds)
 
 
 def _initial_state(task_list, extra_rows, n):
@@ -108,23 +111,25 @@ class VehicleEnv:
         """(5, tasks * n) state: x, y, psi, v_prev, delta_prev."""
         return _initial_state(task_list, 1, n)
 
-    def goal_mask(self, S, c):
-        e_d, e_psi, e_v = reward.goal_errors(S[:4], c.goal)
-        eps_d, eps_psi, eps_v = c.tol
-        return (e_d < eps_d) & (e_psi < eps_psi) & (e_v < eps_v)
+    def observe(self, S, c):
+        """The goal difference of the state rows ``S``, read by the step."""
+        return reward.goal_difference(S[:4], c.goal)
 
-    def features_arrays(self, S, c, last_raw, out=None):
+    def goal_mask(self, obs, c):
+        return np.logical_and.reduce(reward.goal_errors(obs) < c.tol, axis=0)
+
+    def features_arrays(self, obs, c, last_raw, out=None):
         steer = last_raw if c.recipe == tasks.GOAL5 else None
-        return tasks.vehicle_features(S[:4], c.goal, c.scale, steer, out)
+        return tasks.vehicle_features(obs, c.scale, steer, out)
 
-    def apply_arrays(self, S, raw, c):
-        """Next state, applied controls (its v and delta rows), pathlength
-        increment and crash-or-non-finite flag of one step."""
+    def apply_arrays(self, S, raw, c, obs):
+        """Next state, applied controls (its v and delta rows), step length
+        and crash-or-non-finite flag of one step from ``S``, whose
+        observation is ``obs``."""
         lim = self.limits
         vvc_box = None
         if self.vvc.mode != reward.VVC_OFF:
-            d = c.goal[:2] - S[:2]
-            vvc_box = reward.vvc_bounds(np.hypot(d[0], d[1]), c.z_goal[3],
+            vvc_box = reward.vvc_bounds(np.hypot(obs[0], obs[1]), c.z_goal[3],
                                         lim.v_min, lim.v_max, self.vvc)
         lo, hi = control_intervals(S[3:], c.bounds, vvc_box)
         nxt = np.empty(S.shape)
@@ -132,9 +137,9 @@ class VehicleEnv:
         dynamics.step_bicycle_arrays(S[:3], controls[0], controls[1], self.params,
                                      out=nxt[:3])
         d = nxt[:2] - S[:2]
-        dp = -np.hypot(d[0], d[1])
-        crash = dynamics.crash_check_arrays(nxt[0], nxt[1], self.params)
-        return nxt, controls, dp, crash | ~np.isfinite(nxt[:3]).all(0)
+        crash = dynamics.crash_check_arrays(nxt[:2], self.params)
+        return (nxt, controls, np.hypot(d[0], d[1]),
+                crash | ~np.isfinite(nxt[:3]).all(0))
 
 
 class PendulumEnv:
@@ -158,19 +163,22 @@ class PendulumEnv:
         """(4, tasks * n) state: p, p_dot, theta, theta_dot."""
         return _initial_state(task_list, 0, n)
 
-    def goal_mask(self, S, c):
+    def observe(self, S, c):
+        return S  # the goal test and the features read the state itself
+
+    def goal_mask(self, obs, c):
         # stabilization succeeds on the pole angle alone
-        return np.abs(wrap_angle(S[2] - c.z_goal[2])) < c.tol[1]
+        return np.abs(wrap_angle(obs[2] - c.z_goal[2])) < c.tol[1]
 
-    def features_arrays(self, S, c, last_raw, out=None):
-        return tasks.pendulum_features(S, c.scale, out)
+    def features_arrays(self, obs, c, last_raw, out=None):
+        return tasks.pendulum_features(obs, c.scale, out)
 
-    def apply_arrays(self, S, raw, c):
-        """Next state, applied force as a (1, lanes) row, pathlength
-        increment and crash-or-non-finite flag of one step."""
+    def apply_arrays(self, S, raw, c, obs):
+        """Next state, applied force as a (1, lanes) row, step length of the
+        cart and crash-or-non-finite flag of one step."""
         f_max = self.params.f_max
         force = affine_scale(raw[:, 0], -f_max, f_max)
         nxt = dynamics.step_pendulum_arrays(S, force, self.params)
-        dp = -np.abs(nxt[0] - S[0])
+        step = np.abs(nxt[0] - S[0])
         crash = np.abs(nxt[0]) > self.params.p_limit
-        return nxt, force[None], dp, crash | ~np.isfinite(nxt).all(0)
+        return nxt, force[None], step, crash | ~np.isfinite(nxt).all(0)

@@ -53,15 +53,24 @@ class Reward:
     crashed: bool = False
 
 
-def goal_errors(z, goal):
-    """Position, wrapped heading and velocity errors w.r.t. a goal.
+def goal_difference(z, goal):
+    """``goal - z`` with its heading row wrapped in place.
 
     ``z`` and ``goal`` hold (x, y, psi, v) along their first axis and
     broadcast against each other: a (4, lanes) state matrix with a (4, 1)
     goal column, or a (4, 1) point against a (4, m) set of goals.
     """
     d = goal - z
-    return np.hypot(d[0], d[1]), np.abs(wrap_angle(d[2])), np.abs(d[3])
+    wrap_angle(d[2], out=d[2])
+    return d
+
+
+def goal_errors(d):
+    """(3, lanes) position, heading and velocity errors of a goal
+    difference ``d`` of ``goal_difference``."""
+    e = np.abs(d[1:])  # |d_psi| and |d_v| in rows 1 and 2; row 0 is replaced
+    np.hypot(d[0], d[1], out=e[0])
+    return e
 
 
 def rich_values(z, goal, weights):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import wrap_angle
-from .reward import Tolerances, goal_errors
+from .reward import Tolerances, goal_difference, goal_errors
 
 VEHICLE = "vehicle"
 PENDULUM = "pendulum"
@@ -65,6 +65,11 @@ class GoalTuple:
     z_goal: tuple      # commanded goal
     task_id: str = ""
 
+    def __post_init__(self):
+        # a NaN achieved point would win every nearest-setpoint lookup
+        if not all(map(math.isfinite, self.z_hat_goal + self.z_goal)):
+            raise ValueError("goal tuple states must be finite")
+
 
 @dataclass(frozen=True)
 class VehicleNorm:
@@ -87,16 +92,14 @@ def norm_column(norm):
     return np.array([[v] for v in dataclasses.astuple(norm)])
 
 
-def vehicle_features(z, goal, scale, last_raw_steer=None, out=None):
+def vehicle_features(d, scale, last_raw_steer=None, out=None):
     """Normalized goal differences, one row per lane.
 
-    ``z`` holds x, y, psi and v as its rows; ``goal`` and ``scale`` are
-    (4, 1) columns.  The heading difference is wrapped.  With
-    ``last_raw_steer`` the previous raw steering output is the fifth
-    column.  Writes to ``out``, a (lanes, 4 or 5) array, when given.
+    ``d`` is a goal difference of ``reward.goal_difference`` (its heading
+    row wrapped) and ``scale`` a (4, 1) column.  With ``last_raw_steer``
+    the previous raw steering output is the fifth column.  Writes to
+    ``out``, a (lanes, 4 or 5) array, when given.
     """
-    d = goal - z
-    wrap_angle(d[2], out=d[2])
     if out is None:
         out = np.empty((d.shape[1], 4 if last_raw_steer is None else 5))
     np.divide(d, scale, out=out.T[:4])
@@ -205,6 +208,6 @@ def nearest_goal_lookup(setpoint, store) -> GoalTuple:
         raise ValueError("goal-tuple store is empty")
     achieved = np.array([tup.z_hat_goal for tup in store], dtype=float).T
     point = np.array(setpoint, dtype=float)[:, None]
-    e_d, e_psi, e_v = goal_errors(point, achieved)
+    e_d, e_psi, e_v = goal_errors(goal_difference(point, achieved))
     w_d, w_psi, w_v = LOOKUP_WEIGHTS
     return store[int(np.argmin(w_d * e_d + w_psi * e_psi + w_v * e_v))]

@@ -163,10 +163,10 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         rec = np.empty((T + 1, lanes, k + env.control_dim))
         steps_rec = np.empty((T, k + env.control_dim, lanes))
         since = 0
-    # the working arrays (S, layers, consts, goal_run, last_raw, run and the
-    # running path length and reward) hold the live lanes only; ``live``
-    # maps them to their lanes, and a lane's results are written when it
-    # retires
+    # the working arrays (S and its observation, layers, consts, goal_run,
+    # last_raw, run and the running path length and reward) hold the live
+    # lanes only; ``live`` maps them to their lanes, and a lane's results are
+    # written when it retires
     live = np.arange(lanes)
     last_raw = np.zeros(lanes)
     run = np.zeros(lanes, dtype=np.int64)
@@ -179,7 +179,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     J = np.zeros(lanes)
 
     def retire(gone, n_steps):
-        nonlocal live, S, layers, consts, goal_run, last_raw, run, path, dense, since
+        nonlocal live, S, obs, layers, consts, goal_run, last_raw, run, path, dense, since
         rows = live[gone]
         terminal[:, rows] = S[:, gone]
         steps[rows] = n_steps
@@ -194,6 +194,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         keep = np.flatnonzero(~gone)
         live = live[keep]
         S = S[:, keep]
+        obs = obs[:, keep]
         layers = [(w[keep], b[keep]) for w, b in layers]
         consts = consts.compact(keep)
         if isinstance(goal_run, np.ndarray):
@@ -205,6 +206,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
 
     stop = next(stops)
     for t in range(T):
+        obs = env.observe(S, consts)
         if t == stop:
             timed_out = lane_horizon[live] == t
             stop = next(stops)
@@ -212,7 +214,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
                 retire(timed_out, t)
                 if not live.size:
                     break
-        run = (run + 1) * env.goal_mask(S, consts)
+        run = (run + 1) * env.goal_mask(obs, consts)
         done = run >= goal_run
         if rich_weights is not None:
             # every live lane collects this step's reward, a lane that
@@ -223,14 +225,14 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
             retire(done, t)
             if not live.size:
                 break
-        feats = env.features_arrays(S, consts, last_raw, features[:live.size])
+        feats = env.features_arrays(obs, consts, last_raw, features[:live.size])
         if mirror:
             feats = tasklib.mirror_features(feats, consts.recipe)
         raw = forward_layers(layers, feats)
         if mirror:
             raw = tasklib.mirror_control(raw)
-        S_next, controls, dp, crash = env.apply_arrays(S, raw, consts)
-        path += dp
+        S_next, controls, step, crash = env.apply_arrays(S, raw, consts, obs)
+        path -= step  # P is minus the distance travelled
         if record:
             steps_rec[t, :k, :live.size] = S[:k]
             steps_rec[t, k:, :live.size] = controls

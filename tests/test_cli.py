@@ -478,11 +478,13 @@ CHECKPOINT, TASKS = "checkpoint_seed3.json", "tasks_seed3.json"
     (CHECKPOINT, ("goal_tuples", 0, "achieved"), 0, "goal_tuples[0].achieved"),
     (CHECKPOINT, ("goal_tuples", 0), 5, "goal_tuples[0]"),
     (CHECKPOINT, ("goal_tuples", 0, "colour"), "red", "goal_tuples[0].colour"),
+    (CHECKPOINT, ("goal_tuples", 0, "achieved"), [0, 0, math.nan, 0], "goal_tuples[0]: "),
     (TASKS, ("tasks", 0, "z0"), "0000", "tasks[0].z0"),
     (TASKS, ("tasks", 0, "colour"), "red", "tasks[0].colour"),
 ], ids=["replay_t_max_negative", "replay_t_goal_zero", "replay_t_max_fraction",
         "replay_t_max_bool", "replay_recipe", "replay_unknown_key", "achieved_three",
         "achieved_string", "achieved_scalar", "goal_tuple_scalar", "goal_tuple_unknown_key",
+        "achieved_nan",
         "task_z0_string", "task_unknown_key"])
 def test_malformed_artifact_value_exits_two(tmp_path, capsys, name, keys, value, key):
     # task entries, goal tuples and the replay block are read through strict
@@ -504,6 +506,27 @@ def test_malformed_artifact_value_exits_two(tmp_path, capsys, name, keys, value,
         message = capsys.readouterr().err
         assert message.startswith(f"error: {out / name}: ") and key in message, message
     assert not replays.exists()
+
+
+def test_json_that_is_not_an_object_exits_two(tmp_path, capsys):
+    # a task file or checkpoint holding another JSON value is an error line
+    # naming the file, not an AttributeError traceback
+    _, out = train(tmp_path, GRID_YAML)
+    ckpt, tasks, bad = str(out / CHECKPOINT), str(out / TASKS), tmp_path / "bad.json"
+    svg = str(tmp_path / "p.svg")
+    for text in ("[]", '"x"', "3"):
+        bad.write_text(text)
+        for argv in (["replay", ckpt, "--task", "heading10", "--tasks", str(bad)],
+                     ["replay", str(bad), "--setpoint", "0,0,0,0"],
+                     ["plot", "--checkpoint", str(bad), "--tasks", tasks, "-o", svg],
+                     ["plot", "--checkpoint", ckpt, "--tasks", str(bad), "-o", svg]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, (text, argv)
+            message = capsys.readouterr().err
+            assert message.startswith(f"error: {bad}: expected a JSON object"), message
+    assert not (tmp_path / "p.svg").exists()
 
 
 @pytest.mark.parametrize("edit, expected", [

@@ -164,17 +164,17 @@ def test_bicycle_deterministic():
 # --------------------------------------------------------------- crash_check
 
 def test_crash_center_is_clear():
-    assert not crash_check_arrays(np.zeros(1), np.zeros(1), PAR)[0]
+    assert not crash_check_arrays(np.zeros((2, 1)), PAR)[0]
 
 
 def test_crash_outside_workspace():
-    crash = crash_check_arrays(np.array([101.0, 0.0]), np.array([0.0, -101.0]), PAR)
+    crash = crash_check_arrays(np.array([[101.0, 0.0], [0.0, -101.0]]), PAR)
     assert crash.tolist() == [True, True]
 
 
 def test_crash_inside_obstacle():
     par = VehicleParams(obstacles=((1.0, 1.0, 2.0, 2.0),))
-    crash = crash_check_arrays(np.array([1.5, 0.5]), np.array([1.5, 0.5]), par)
+    crash = crash_check_arrays(np.array([[1.5, 0.5], [1.5, 0.5]]), par)
     assert crash.tolist() == [True, False]
 
 

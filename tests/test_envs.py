@@ -3,11 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from tshc.dynamics import PendulumParams, VehicleParams
+from tshc import reward
+from tshc.dynamics import PendulumParams, VehicleParams, crash_check_arrays
 from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.plotting import render_svg
-from tshc.reward import VVC_SPATIAL, VvcConfig
-from tshc.tasks import freeform_task, pendulum_tasks
+from tshc.reward import VVC_SPATIAL, Tolerances, VvcConfig, vvc_bounds
+from tshc.tasks import GOAL5, VehicleNorm, freeform_task, pendulum_tasks
+
+
+def goal_mask(env, S, task):
+    """The goal test of one step from the state rows S on ``task``."""
+    k = env.constants([task], 1)
+    return env.goal_mask(env.observe(S, k), k)
+
+
+def apply(env, S, raw, task):
+    """One ``apply_arrays`` step from the state rows S on ``task``."""
+    k = env.constants([task], 1)
+    return env.apply_arrays(S, np.asarray(raw), k, env.observe(S, k))
 
 
 def test_vehicle_init_arrays_normalizes_heading():
@@ -24,7 +37,7 @@ def test_vehicle_goal_mask_matches_tolerances():
     task = freeform_task((0, 0, 0, 0), (0, 0, 0, 0))
     S = np.zeros((5, 3))
     S[0] = [0.0, 0.2, 0.3]
-    assert list(env.goal_mask(S, env.constants([task], 1))) == [True, True, False]
+    assert list(goal_mask(env, S, task)) == [True, True, False]
 
 
 def test_vehicle_apply_uses_vvc_near_goal():
@@ -32,13 +45,11 @@ def test_vehicle_apply_uses_vvc_near_goal():
     env = VehicleEnv(vvc=vvc)
     task = freeform_task((0, 0, 0, 0), (0, 0, 0, 0))  # at the goal: v box = {0}
     S = env.init_arrays([task], 1)
-    _, controls, _, _ = env.apply_arrays(S, np.array([[1.0, 0.0]]),
-                                         env.constants([task], 1))
+    _, controls, _, _ = apply(env, S, [[1.0, 0.0]], task)
     assert controls[0, 0] == pytest.approx(0.0)  # full throttle still held at 0
 
     free = VehicleEnv()
-    nxt, controls, _, _ = free.apply_arrays(S, np.array([[1.0, 0.0]]),
-                                            free.constants([task], 1))
+    nxt, controls, _, _ = apply(free, S, [[1.0, 0.0]], task)
     assert controls[0, 0] == pytest.approx(0.05)  # rate limit only
     # the applied controls are the v_prev and delta_prev rows of the next state
     assert np.shares_memory(controls, nxt)
@@ -49,8 +60,7 @@ def test_vehicle_apply_reports_crash():
     env = VehicleEnv(params=VehicleParams(workspace=(-1.0, -1.0, 1.0, 1.0)))
     task = freeform_task((0.999, 0, 0, 10.0), (0, 0, 0, 0))
     S = env.init_arrays([task], 1)
-    _, _, _, crash = env.apply_arrays(S, np.array([[1.0, 0.0]]),
-                                      env.constants([task], 1))
+    _, _, _, crash = apply(env, S, [[1.0, 0.0]], task)
     assert bool(crash[0])
 
 
@@ -61,13 +71,13 @@ def test_apply_flags_non_finite_states():
     S[2, 1] = np.nan  # heading
     S[0, 2] = np.inf
     with np.errstate(invalid="ignore"):
-        _, _, _, bad = env.apply_arrays(S, np.zeros((3, 2)), env.constants([task], 1))
+        _, _, _, bad = apply(env, S, np.zeros((3, 2)), task)
     assert bad.tolist() == [False, True, True]
     pend = PendulumEnv()
     task = pendulum_tasks("stabilize")[0]
     S = pend.init_arrays([task], 2)
     S[3, 1] = np.nan  # theta_dot
-    _, _, _, bad = pend.apply_arrays(S, np.zeros((2, 1)), pend.constants([task], 1))
+    _, _, _, bad = apply(pend, S, np.zeros((2, 1)), task)
     assert bad.tolist() == [False, True]
 
 
@@ -75,22 +85,21 @@ def test_pendulum_goal_mask_angle_only():
     env = PendulumEnv()
     task = pendulum_tasks("stabilize")[0]
     S = np.array([[2.0], [3.0], [math.radians(11.0)], [9.0]])
-    assert bool(env.goal_mask(S, env.constants([task], 1))[0])
+    assert bool(goal_mask(env, S, task)[0])
     S[2, 0] = math.radians(13.0)
-    assert not bool(env.goal_mask(S, env.constants([task], 1))[0])
+    assert not bool(goal_mask(env, S, task)[0])
 
 
 def test_pendulum_apply_scales_force_and_crashes_at_track_end():
     env = PendulumEnv(params=PendulumParams())
     task = pendulum_tasks("stabilize")[0]
-    k = env.constants([task], 1)
     S = env.init_arrays([task], 1)
-    _, controls, _, _ = env.apply_arrays(S, np.array([[1.0]]), k)
+    _, controls, _, _ = apply(env, S, [[1.0]], task)
     assert controls.shape == (1, 1)
     assert controls[0, 0] == pytest.approx(10.0)  # raw +1 -> +F_max
 
     S = np.array([[2.39], [3.0], [0.0], [0.0]])
-    _, _, _, crash = env.apply_arrays(S, np.array([[1.0]]), k)
+    _, _, _, crash = apply(env, S, [[1.0]], task)
     assert bool(crash[0])
 
 
@@ -98,8 +107,8 @@ def test_pendulum_pathlength_is_cart_travel():
     env = PendulumEnv()
     task = pendulum_tasks("stabilize")[0]
     S = np.array([[0.0], [1.0], [0.0], [0.0]])
-    _, _, dp, _ = env.apply_arrays(S, np.array([[0.0]]), env.constants([task], 1))
-    assert dp[0] == pytest.approx(-0.02)  # |Ts * p_dot|
+    _, _, step, _ = apply(env, S, [[0.0]], task)
+    assert step[0] == pytest.approx(0.02)  # |Ts * p_dot|
 
 
 # ------------------------------------------------------------------ plotting
@@ -114,3 +123,70 @@ def test_render_svg_structure():
     assert svg.count("<circle") == 3  # two starts plus one goal marker
     with pytest.raises(ValueError):
         render_svg([])
+
+
+# ------------------------------------------------------------ one step's pieces
+
+STEP_PARAMS = VehicleParams(workspace=(-4.0, -4.0, 5.0, 4.0),
+                            obstacles=((1.0, -1.0, 2.0, 1.0), (-3.0, 2.0, -2.0, 3.0)))
+STEP_TASKS = [freeform_task((0, 0, 0, 0), (1.0, 0.5, math.pi, 2.0),
+                            Tolerances(0.5, 0.1, 1.0), GOAL5, "a"),
+              freeform_task((0, 0, 0, 0), (-2.0, 0.0, -math.pi / 2, 0.0),
+                            Tolerances(1.5, 3.0, 0.2), GOAL5, "b")]
+# x, y, psi, v_prev, delta_prev per lane: headings at +-pi, NaN and inf
+# positions, points inside each obstacle and one outside the workspace
+STEP_LANES = [(1.0, 0.5, -math.pi, 2.0, 0.1), (1.2, 0.5, math.pi, 2.5, 0.0),
+              (math.nan, 0.0, 0.3, 0.0, 0.0), (math.inf, 1.0, 0.0, 1.0, 0.0),
+              (0.0, -math.inf, 0.0, 0.0, 0.0), (1.5, 0.0, 0.1, 0.0, 0.0),
+              (6.0, 0.0, 0.0, 0.0, 0.0), (-2.5, 2.5, 3.0, -1.0, -0.2),
+              (-2.0, 0.0, -math.pi, 0.1, 0.0)]
+
+
+@pytest.mark.parametrize("case", ["one-task", "folded", "compacted"])
+def test_step_pieces_equal_textbook_formulas(case, monkeypatch):
+    # observe, goal_mask, features_arrays, the VVC distance and
+    # crash_check_arrays against the formulas written out per coordinate:
+    # equal bits, NaN where the formula gives NaN
+    env = VehicleEnv(STEP_PARAMS, vvc=VvcConfig(VVC_SPATIAL, r_thresh=2.0))
+    task_list = STEP_TASKS[:1] if case == "one-task" else STEP_TASKS
+    n = len(STEP_LANES)
+    S = np.tile(np.array(STEP_LANES).T, len(task_list))
+    goal = np.array([t.z_goal for t in task_list for _ in range(n)]).T
+    tol = np.array([(t.tol.eps_d, t.tol.eps_psi, t.tol.eps_v)
+                    for t in task_list for _ in range(n)]).T
+    c = env.constants(task_list, n)
+    if case == "compacted":  # lanes of both tasks, reordered and thinned
+        keep = np.array([0, 2, 3, 10, 13, 16, 17, 5])
+        c, S, goal, tol = c.compact(keep), S[:, keep], goal[:, keep], tol[:, keep]
+    lanes = S.shape[1]
+    last_raw = np.linspace(-1.0, 1.0, lanes)
+    with np.errstate(invalid="ignore"):
+        d = goal - S[:4]
+        d[2] = d[2] - 2.0 * math.pi * np.ceil((d[2] - math.pi) / (2.0 * math.pi))
+        obs = env.observe(S, c)
+        assert np.array_equal(obs, d, equal_nan=True)
+        assert np.all((-math.pi < d[2]) & (d[2] <= math.pi))
+        e_d = np.hypot(d[0], d[1])
+        reached = (e_d < tol[0]) & (np.abs(d[2]) < tol[1]) & (np.abs(d[3]) < tol[2])
+        assert np.array_equal(env.goal_mask(obs, c), reached)
+        assert reached.any() and not reached.all()
+        norm = VehicleNorm()
+        features = np.stack([d[0] / norm.dx, d[1] / norm.dy, d[2] / norm.dpsi,
+                             d[3] / norm.dv, last_raw], axis=1)
+        out = np.empty((lanes, 5))
+        assert env.features_arrays(obs, c, last_raw, out) is out
+        assert np.array_equal(out, features, equal_nan=True)
+        seen = []
+
+        def spy(e, *args):
+            seen.append(e)
+            return vvc_bounds(e, *args)
+        monkeypatch.setattr(reward, "vvc_bounds", spy)
+        env.apply_arrays(S, np.zeros((lanes, 2)), c, obs)
+        assert np.array_equal(seen[0], e_d, equal_nan=True)
+    x, y = S[0], S[1]
+    crash = (x < -4.0) | (x > 5.0) | (y < -4.0) | (y > 4.0)
+    for x0, y0, x1, y1 in STEP_PARAMS.obstacles:
+        crash |= (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+    assert np.array_equal(crash_check_arrays(S[:2], STEP_PARAMS), crash)
+    assert crash.any() and not crash.all()

@@ -22,7 +22,8 @@ def goal_flag(state, goal):
     """The goal test the trainer runs: VehicleEnv.goal_mask on one lane."""
     task = freeform_task((0.0, 0.0, 0.0, 0.0), goal, TOL)
     env = VehicleEnv()
-    return bool(env.goal_mask(vehicle_state(*state), env.constants([task], 1))[0])
+    k = env.constants([task], 1)
+    return bool(env.goal_mask(env.observe(vehicle_state(*state), k), k)[0])
 
 
 # ----------------------------------------------------------------- goal test
@@ -75,20 +76,20 @@ def test_sparse_reward_sum_over_clean_rollout():
 FAR_TASK = freeform_task((0.0, 0.0, 0.0, 0.0), (50.0, 0.0, 0.0, 0.0), TOL)
 
 
-def step_dp(env, state, raw):
-    """Pathlength increment dp of one VehicleEnv.apply_arrays step."""
-    _, _, dp, _ = env.apply_arrays(vehicle_state(*state), np.array([raw]),
-                                   env.constants([FAR_TASK], 1))
-    return float(dp[0])
+def step_length(env, state, raw):
+    """Step length of one VehicleEnv.apply_arrays step."""
+    S, k = vehicle_state(*state), env.constants([FAR_TASK], 1)
+    _, _, step, _ = env.apply_arrays(S, np.array([raw]), k, env.observe(S, k))
+    return float(step[0])
 
 
 def test_pathlength_delta_values():
     # Ts = 1 s and a symmetric +-5 m/s^2 rate box around v_prev = 0: raw 0
     # holds the car still, raw 1 drives 5 m along the 3-4-5 heading
     env = VehicleEnv(VehicleParams(Ts=1.0), ActuatorLimits(vdot_min=-5.0, vdot_max=5.0))
-    assert step_dp(env, (0.0, 0.0, 0.0, 0.0), [0.0, 0.0]) == 0.0
-    dp = step_dp(env, (0.0, 0.0, math.atan2(4.0, 3.0), 0.0), [1.0, 0.0])
-    assert dp == pytest.approx(-5.0, abs=1e-12)
+    assert step_length(env, (0.0, 0.0, 0.0, 0.0), [0.0, 0.0]) == 0.0
+    step = step_length(env, (0.0, 0.0, math.atan2(4.0, 3.0), 0.0), [1.0, 0.0])
+    assert step == pytest.approx(5.0, abs=1e-12)
 
 
 def test_pathlength_triangle_inequality():
@@ -98,11 +99,11 @@ def test_pathlength_triangle_inequality():
     total = 0.0
     k = env.constants([FAR_TASK], 1)
     for raw in rng.uniform(-1.0, 1.0, size=(20, 2)):
-        S, _, dp, _ = env.apply_arrays(S, raw[None, :], k)
-        total += float(dp[0])
+        S, _, step, _ = env.apply_arrays(S, raw[None, :], k, env.observe(S, k))
+        total += float(step[0])
     straight = math.hypot(float(S[0, 0]), float(S[1, 0]))
     assert straight > 0.0
-    assert -total >= straight - 1e-12
+    assert total >= straight - 1e-12
 
 
 # ---------------------------------------------------------------- vvc_bounds

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tshc.reward import Tolerances
+from tshc.reward import Tolerances, goal_difference
 from tshc.tasks import (GOAL4, GOAL5, PENDULUM4, GoalTuple, PendulumNorm, Task,
                         VEHICLE, VehicleNorm, freeform_task, heading_grid,
                         mirror_control, mirror_features, mirror_goal, mirror_task,
@@ -39,8 +39,8 @@ def column(*values):
 
 
 def goal4(z, task, last_raw_steer=None):
-    return vehicle_features(column(*z), column(*task.z_goal), norm_column(VehicleNorm()),
-                            last_raw_steer)
+    return vehicle_features(goal_difference(column(*z), column(*task.z_goal)),
+                            norm_column(VehicleNorm()), last_raw_steer)
 
 
 def test_goal4_features_hand_value():
@@ -74,9 +74,10 @@ def test_features_fill_the_given_buffer_lane_by_lane():
     goal, scale = column(*t.z_goal), norm_column(VehicleNorm())
     last = rng.uniform(-1.0, 1.0, 3)
     out = np.empty((3, 5))
-    assert vehicle_features(z, goal, scale, last, out) is out
+    d = goal_difference(z, goal)
+    assert vehicle_features(d, scale, last, out) is out
     for i in range(3):
-        one = vehicle_features(z[:, i:i + 1], goal, scale, last[i:i + 1])
+        one = vehicle_features(goal_difference(z[:, i:i + 1], goal), scale, last[i:i + 1])
         assert out[i:i + 1].tobytes() == one.tobytes()
     p = pendulum_features(z, norm_column(PendulumNorm()), np.empty((3, 4)))
     assert p.tolist() == (z / norm_column(PendulumNorm())).T.tolist()
@@ -162,6 +163,16 @@ STORE = [
     GoalTuple((0.0, 0.0, math.radians(30), 0.0), (0.0, 0.0, math.radians(30), 0.0), "b"),
     GoalTuple((5.0, 0.0, 0.0, 0.0), (5.0, 0.0, 0.0, 0.0), "c"),
 ]
+
+
+def test_goal_tuple_states_must_be_finite():
+    # a NaN achieved point would be served for every setpoint: argmin
+    # returns the first NaN
+    for bad in ((math.nan, 0.0, 0.0, 0.0), (0.0, 0.0, -math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            GoalTuple(bad, (0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            GoalTuple((0.0, 0.0, 0.0, 0.0), bad)
 
 
 def test_lookup_exact_and_nearest():

@@ -171,7 +171,8 @@ def test_batch_rollout_compaction_is_lane_exact():
                         kind = _finish_kind(out[0][i], out[3][i], out[4][i])
                         # a lane stops where it met its goal or left the track
                         if kind.startswith("goal"):
-                            assert env.goal_mask(end, env.constants([task], 1))[0]
+                            k = env.constants([task], 1)
+                            assert env.goal_mask(env.observe(end, k), k)[0]
                         elif kind == "crash":
                             assert not _on_track(env, end)
                         batch_kinds.add(kind)
@@ -179,6 +180,31 @@ def test_batch_rollout_compaction_is_lane_exact():
                     mixed += len(batch_kinds) >= 3
     assert kinds == {"goal at t=0", "goal run", "crash", "timeout"}
     assert mixed >= 8
+
+
+def test_one_lane_step_wraps_the_goal_difference_once(monkeypatch):
+    # a one-lane rollout that meets its goal after k steps forms goal - z
+    # once per goal test (k + 1) and wraps an angle once per goal
+    # difference, once per bicycle step and once for the initial state
+    from tshc import dynamics, envs, reward, tasks
+    calls = {"goal_difference": 0, "wrap_angle": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(reward, "goal_difference",
+                        counted("goal_difference", reward.goal_difference))
+    wrap = counted("wrap_angle", dynamics.wrap_angle)
+    for module in (dynamics, envs, reward, tasks):
+        monkeypatch.setattr(module, "wrap_angle", wrap)
+    task = freeform_task((0, 0, 0, 0), (1.0, 0, 0, 0), Tolerances(0.5, 3.0, 3.0))
+    theta = np.full(param_count(SPEC4), 50.0)  # saturated: full throttle
+    res = rollout(theta, task, VehicleEnv(VehicleParams(Ts=0.1)), SPEC4, 50)
+    k = res.steps
+    assert res.success == 1 and k > 1
+    assert calls == {"goal_difference": k + 1, "wrap_angle": 2 * k + 2}
 
 
 class ScriptedGoalEnv:
@@ -203,14 +229,17 @@ class ScriptedGoalEnv:
     def init_arrays(self, task_list, n):
         return np.zeros((1, len(task_list) * n))
 
-    def goal_mask(self, S, c):
-        t = int(S[0, 0])
-        return np.full(S.shape[1], t < len(self.flags) and self.flags[t] == 1)
+    def observe(self, S, c):
+        return S
 
-    def features_arrays(self, S, c, last_raw, out=None):
-        return np.zeros((S.shape[1], 1))
+    def goal_mask(self, obs, c):
+        t = int(obs[0, 0])
+        return np.full(obs.shape[1], t < len(self.flags) and self.flags[t] == 1)
 
-    def apply_arrays(self, S, raw, c):
+    def features_arrays(self, obs, c, last_raw, out=None):
+        return np.zeros((obs.shape[1], 1))
+
+    def apply_arrays(self, S, raw, c, obs):
         n = S.shape[1]
         return S + 1, raw.T, np.zeros(n), np.zeros(n, dtype=bool)
 
