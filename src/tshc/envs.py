@@ -11,12 +11,17 @@ list.  Every method works for a batch of lanes in lockstep, and for one
 lane during replay; each row is contiguous, so a lane drops out of the
 batch with one column selection.  ``constants`` gathers what a rollout
 needs at every step once per call: goal and tolerance columns (one per
-lane, or one for all lanes of a single task), feature scales and control
-bounds.  A step observes the state once, ``observe``: the vehicle's goal
-difference, heading wrapped, or the cart-pole's state itself; the goal
-test, the features and the control box with VVC all read it, and the goal
-test is one comparison of the (3, lanes) goal errors with the tolerance
-column.  Each lane is computed independently, so results are
+lane, or one for all lanes of a single task), the goal's only
+representation, feature scales, control bounds and, for a constant-margin
+VVC, the control box near the goal.  A step observes the state once,
+``observe``: the vehicle's goal difference, heading wrapped, or the
+cart-pole's state itself; the goal test, the features and the control box
+with VVC all read it, and the goal test is one comparison of the (3, lanes)
+goal errors with the tolerance column.  The vehicle's control box is one
+intersection per step, of the rate box around the previous controls with
+an absolute box: the actuator limits, or near the goal the VVC box clipped
+into them (picked per lane for a constant margin, built per step for a
+spatial one).  Each lane is computed independently, so results are
 bit-identical no matter how candidates and tasks are grouped into batches.
 """
 
@@ -35,28 +40,29 @@ class RolloutConstants:
     """Per-call constants of a rollout over a task list in one environment.
 
     ``goal`` and ``tol`` are (4, 1) and (3, 1) columns when all lanes run
-    one task and have a column per lane otherwise; ``tol`` holds eps_d,
-    eps_psi and eps_v, the goal test's bounds on the rows of
-    ``reward.goal_errors``.  ``z_goal`` holds the goal's floats for one
-    task and ``goal``'s rows for many.  ``compact`` keeps the columns of
-    the live lanes.  The one-task floats pay off in the constant-margin VVC
-    box, whose float goal speed is clipped with builtin ``min``/``max``
-    instead of ``np.clip``.
+    one task and have a column per lane otherwise, the one representation
+    of the goal that every step reads; ``tol`` holds eps_d, eps_psi and
+    eps_v, the goal test's bounds on the rows of ``reward.goal_errors``.
+    ``near`` is the vehicle's absolute control box inside a constant-margin
+    VVC's ``r_thresh``, built once: (lo, hi) columns like ``goal``'s whose v
+    row is the VVC box, clipped into the actuator's v box, and whose delta
+    row is the steering limits.  ``compact`` keeps the columns of the live
+    lanes.
     """
 
     recipe: str               # the feature recipe all tasks share
     goal: np.ndarray          # (4, 1 or lanes) goal columns
-    z_goal: tuple             # x, y, psi and v of the goal: floats or goal's rows
     tol: np.ndarray           # (3, 1 or lanes) eps_d, eps_psi and eps_v columns
     scale: np.ndarray         # (4, 1) feature normalization column
     bounds: tuple = ()        # vehicle: control_bounds columns of v and delta
+    near: tuple = ()          # vehicle, constant-margin VVC: (2, 1 or lanes) box
 
     def compact(self, keep):
         """The constants of the lanes ``keep`` (indices into the live lanes)."""
-        if isinstance(self.z_goal[0], float):
-            return self  # one task: its columns and floats serve any lanes
-        goal = self.goal[:, keep]
-        return replace(self, goal=goal, z_goal=tuple(goal), tol=self.tol[:, keep])
+        if self.goal.shape[1] == 1:
+            return self  # one column serves any subset of the lanes
+        return replace(self, goal=self.goal[:, keep], tol=self.tol[:, keep],
+                       near=tuple(edge[:, keep] for edge in self.near))
 
 
 def _constants(task_list, n, scale, bounds=()):
@@ -66,17 +72,13 @@ def _constants(task_list, n, scale, bounds=()):
                          f"got {sorted(recipes)}")
     goal = np.array([task.z_goal for task in task_list]).T
     tol = np.array([(t.tol.eps_d, t.tol.eps_psi, t.tol.eps_v) for t in task_list]).T
-    if len(task_list) == 1:
-        # the goal's floats, not one-element rows, for the constant-margin
-        # VVC box: builtin min/max clip a float goal speed in ~0.3 us where
-        # np.clip takes ~2.5 us, twice a step (numpy 2.4, 1-element arrays,
-        # 2 shared vCPUs).  Without this fork 1-lane replays ran ~8% slower
-        # with np.clip, ~3% with np.minimum/np.maximum (one noisy run each).
-        return RolloutConstants(recipes.pop(), goal, task_list[0].z_goal, tol, scale,
-                                bounds)
-    goal = np.repeat(goal, n, axis=1)
-    return RolloutConstants(recipes.pop(), goal, tuple(goal), np.repeat(tol, n, axis=1),
-                            scale, bounds)
+    if len(task_list) > 1:
+        goal, tol = np.repeat(goal, n, axis=1), np.repeat(tol, n, axis=1)
+    return RolloutConstants(recipes.pop(), goal, tol, scale, bounds)
+
+
+# selects the v row of a (2, lanes) control box: a VVC narrows it only
+_V_ROW = np.array([[True], [False]])
 
 
 def _initial_state(task_list, extra_rows, n):
@@ -104,8 +106,15 @@ class VehicleEnv:
 
     def constants(self, task_list, n):
         """Constants of a rollout of n candidates on each task of the list."""
-        return _constants(task_list, n, tasks.norm_column(self.norm),
-                          control_bounds(self.limits, self.params.Ts))
+        c = _constants(task_list, n, tasks.norm_column(self.norm),
+                       control_bounds(self.limits, self.params.Ts))
+        if self.vvc.mode != reward.VVC_CONSTANT:
+            return c
+        # the constant-margin box is the same everywhere inside r_thresh
+        lim = self.limits
+        v_lo, v_hi = reward.vvc_bounds(0.0, c.goal[3], lim.v_min, lim.v_max, self.vvc)
+        lo, hi = c.bounds[:2]
+        return replace(c, near=(np.where(_V_ROW, v_lo, lo), np.where(_V_ROW, v_hi, hi)))
 
     def init_arrays(self, task_list, n):
         """(5, tasks * n) state: x, y, psi, v_prev, delta_prev."""
@@ -126,12 +135,16 @@ class VehicleEnv:
         """Next state, applied controls (its v and delta rows), step length
         and crash-or-non-finite flag of one step from ``S``, whose
         observation is ``obs``."""
-        lim = self.limits
-        vvc_box = None
-        if self.vvc.mode != reward.VVC_OFF:
-            vvc_box = reward.vvc_bounds(np.hypot(obs[0], obs[1]), c.z_goal[3],
-                                        lim.v_min, lim.v_max, self.vvc)
-        lo, hi = control_intervals(S[3:], c.bounds, vvc_box)
+        lo, hi, step_lo, step_hi = c.bounds
+        if self.vvc.mode == reward.VVC_CONSTANT:
+            far = np.hypot(obs[0], obs[1]) >= self.vvc.r_thresh
+            lo, hi = np.where(far, lo, c.near[0]), np.where(far, hi, c.near[1])
+        elif self.vvc.mode == reward.VVC_SPATIAL:
+            lim = self.limits
+            v_lo, v_hi = reward.vvc_bounds(np.hypot(obs[0], obs[1]), c.goal[3],
+                                           lim.v_min, lim.v_max, self.vvc)
+            lo, hi = np.where(_V_ROW, v_lo, lo), np.where(_V_ROW, v_hi, hi)
+        lo, hi = control_intervals(S[3:], (lo, hi, step_lo, step_hi))
         nxt = np.empty(S.shape)
         controls = affine_scale(raw.T, lo, hi, out=nxt[3:])
         dynamics.step_bicycle_arrays(S[:3], controls[0], controls[1], self.params,
@@ -168,7 +181,7 @@ class PendulumEnv:
 
     def goal_mask(self, obs, c):
         # stabilization succeeds on the pole angle alone
-        return np.abs(wrap_angle(obs[2] - c.z_goal[2])) < c.tol[1]
+        return np.abs(wrap_angle(obs[2] - c.goal[2])) < c.tol[1]
 
     def features_arrays(self, obs, c, last_raw, out=None):
         return tasks.pendulum_features(obs, c.scale, out)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ActuatorLimits, intersect_interval, rate_limited_interval
+from .dynamics import ActuatorLimits, rate_limited_interval
 
 
 @dataclass(frozen=True)
@@ -87,17 +87,15 @@ def control_bounds(lim: ActuatorLimits, Ts):
             np.array([[lim.vdot_max * Ts], [lim.deltadot_max * Ts]]))
 
 
-def control_intervals(prev, bounds, vvc_box=None):
+def control_intervals(prev, bounds):
     """Admissible [lo, hi] of the v (row 0) and delta (row 1) channels.
 
     ``prev`` holds the previous commands as a (2, lanes) array and
-    ``bounds`` comes from ``control_bounds``; the optional VVC box
-    narrows the v row only.
+    ``bounds`` the four columns of ``control_bounds``, whose absolute box
+    may instead hold a column per lane: a VVC box clipped into the
+    actuator's v box narrows row 0 of it (``envs.VehicleEnv``).
     """
-    lo, hi = rate_limited_interval(prev, *bounds)
-    if vvc_box is not None:
-        lo[0], hi[0] = intersect_interval(lo[0], hi[0], *vvc_box)
-    return lo, hi
+    return rate_limited_interval(prev, *bounds)
 
 
 def affine_scale(raw, lo, hi, out=None):

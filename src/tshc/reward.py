@@ -93,9 +93,10 @@ def sparse_reward(crash_flag) -> Reward:
 
 
 def vvc_bounds(e_d, v_goal, v_min, v_max, cfg: VvcConfig):
-    """Velocity box valid at distance e_d from the goal; elementwise over e_d
-    and over v_goal, a goal speed per lane or one float for all lanes (the
-    global speeds and the config are scalars)."""
+    """Velocity box valid at distance e_d from the goal, inside the global
+    box [v_min, v_max]; elementwise over e_d and over v_goal, a goal speed
+    per lane or one for all lanes (the global speeds and the config are
+    scalars)."""
     if cfg.mode == VVC_OFF:
         shape = np.shape(e_d)
         if shape:
@@ -104,15 +105,14 @@ def vvc_bounds(e_d, v_goal, v_min, v_max, cfg: VvcConfig):
     far = e_d >= cfg.r_thresh
     if cfg.mode == VVC_SPATIAL:
         frac = np.minimum(e_d, cfg.r_thresh) / cfg.r_thresh
-        lo = v_goal + (v_min - v_goal) * frac
-        hi = v_goal + (v_max - v_goal) * frac
-        return np.where(far, v_min, lo), np.where(far, v_max, hi)
-    # constant margin inside r_thresh, global bounds outside; both edges are
-    # clipped to the global box, so a goal speed outside it collapses the
-    # inner box onto the nearer global bound
-    lo_in, hi_in = v_goal - cfg.margin, v_goal + cfg.margin
-    if isinstance(v_goal, float):  # one goal speed: no array calls
-        lo_in, hi_in = min(max(lo_in, v_min), v_max), min(max(hi_in, v_min), v_max)
-    else:
-        lo_in, hi_in = np.clip(lo_in, v_min, v_max), np.clip(hi_in, v_min, v_max)
+        lo_in = v_goal + (v_min - v_goal) * frac
+        hi_in = v_goal + (v_max - v_goal) * frac
+    else:  # constant margin inside r_thresh
+        lo_in, hi_in = v_goal - cfg.margin, v_goal + cfg.margin
+    # both edges are clipped to the global box, so a goal speed outside it
+    # collapses the inner box onto the nearer global bound, and the control
+    # box is one intersection with the rate box.  Global bounds first: on a
+    # tie of -0.0 and 0.0, numpy's maximum and minimum return the second
+    lo_in = np.minimum(v_max, np.maximum(v_min, lo_in))
+    hi_in = np.minimum(v_max, np.maximum(v_min, hi_in))
     return np.where(far, v_min, lo_in), np.where(far, v_max, hi_in)

@@ -395,10 +395,9 @@ def tshc_run(cfg: TshcConfig, task_list, env, policy_spec: MlpSpec,
     n_tasks = len(task_list)
     best = BestSolution()
     history = []
-    pool = None
-    ctx = get_context("fork")
-    if cfg.workers > 1:
-        pool = ctx.Pool(cfg.workers)
+    # a fan-out makes at most one chunk per candidate: fork no idle workers
+    processes = min(cfg.workers, cfg.n_candidates)
+    pool = get_context("fork").Pool(processes) if processes > 1 else None
     t0 = time.monotonic()
     try:
         for restart in range(1, cfg.n_restarts + 1):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import textwrap
+from xml.etree import ElementTree
 
 import pytest
 
@@ -209,6 +210,12 @@ def test_plot_from_csv_and_checkpoint(tmp_path):
     svg = svg_path.read_text()
     assert svg.count("<polyline") == 1
     assert "x [m]" in svg and "y [m]" in svg
+    # a file name holding markup is escaped in the plot's label
+    odd = tmp_path / 'R&D<1>".csv'
+    odd.write_bytes((out / "replay_freeform_seed3.csv").read_bytes())
+    assert main(["plot", str(odd), "-o", str(svg_path)]) == 0
+    title = ElementTree.parse(svg_path).find(".//{http://www.w3.org/2000/svg}title")
+    assert title.text == odd.name
 
     code = main(["plot", "--checkpoint", str(out / "checkpoint_seed3.json"),
                  "--tasks", str(out / "tasks_seed3.json"),

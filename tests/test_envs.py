@@ -1,4 +1,5 @@
 import math
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -123,6 +124,13 @@ def test_render_svg_structure():
     assert svg.count("<circle") == 3  # two starts plus one goal marker
     with pytest.raises(ValueError):
         render_svg([])
+
+
+@pytest.mark.parametrize("label", ['R&D<1>.csv', '"a" > b', "&amp;", "<title>"])
+def test_render_svg_labels_with_markup_round_trip(label):
+    svg = render_svg([(label, [0.0, 1.0], [0.0, 1.0])])
+    title = ElementTree.fromstring(svg).find(".//{http://www.w3.org/2000/svg}title")
+    assert title.text == label
 
 
 # ------------------------------------------------------------ one step's pieces

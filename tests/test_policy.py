@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tshc.dynamics import ActuatorLimits, Control, clamp_controls
+from tshc.dynamics import ActuatorLimits, Control, clamp_controls, intersect_interval
 from tshc.policy import (MlpSpec, affine_scale, control_bounds, control_intervals,
                          forward_layers, init_params, param_count, unflatten)
 from tshc.trainer import candidate_theta
@@ -165,9 +165,14 @@ def test_affine_scale_endpoints_exact():
 
 
 def scale_outputs(raw, prev: Control, vvc_box, Ts):
-    """The control step of VehicleEnv.apply_arrays for one lane."""
-    lo, hi = control_intervals(np.array([[prev.v], [prev.delta]]),
-                               control_bounds(LIM, Ts), vvc_box)
+    """The control step of VehicleEnv.apply_arrays for one lane: a VVC box,
+    clipped into the actuator's v box, replaces the v row of the absolute
+    box."""
+    lo, hi, *steps = control_bounds(LIM, Ts)
+    if vvc_box is not None:
+        lo, hi = lo.copy(), hi.copy()
+        lo[0], hi[0] = np.clip(vvc_box, LIM.v_min, LIM.v_max)
+    lo, hi = control_intervals(np.array([[prev.v], [prev.delta]]), (lo, hi, *steps))
     v, delta = affine_scale(np.asarray(raw)[:, None], lo, hi)[:, 0].tolist()
     return Control(v, delta)
 
@@ -211,12 +216,13 @@ def test_scale_then_clamp_is_noop(r0, r1, prev_v, prev_d):
 
 
 def test_control_intervals_shapes():
-    lo, hi = control_intervals(np.zeros((2, 4)), control_bounds(LIM, 0.01), None)
+    lo, hi = control_intervals(np.zeros((2, 4)), control_bounds(LIM, 0.01))
     assert lo.shape == hi.shape == (2, 4)
     assert np.all(lo <= hi)
-    # the VVC box narrows the velocity row only
-    lo, hi = control_intervals(np.zeros((2, 4)), control_bounds(LIM, 0.01),
-                               (np.full(4, 0.01), np.full(4, 0.02)))
+    # a per-lane absolute box whose v row is a VVC box narrows that row only
+    box = (np.array([[0.01] * 4, [LIM.delta_min] * 4]),
+           np.array([[0.02] * 4, [LIM.delta_max] * 4]))
+    lo, hi = control_intervals(np.zeros((2, 4)), box + control_bounds(LIM, 0.01)[2:])
     assert lo[0].tolist() == [0.01] * 4 and hi[0].tolist() == [0.02] * 4
     assert lo[1].tolist() == [LIM.deltadot_min * 0.01] * 4
     # the bound columns hold the absolute limits and the rates times Ts
@@ -224,3 +230,45 @@ def test_control_intervals_shapes():
         [LIM.v_min, LIM.delta_min], [LIM.v_max, LIM.delta_max],
         [LIM.vdot_min * 0.1, LIM.deltadot_min * 0.1],
         [LIM.vdot_max * 0.1, LIM.deltadot_max * 0.1]]
+
+
+# ties of -0.0 and 0.0, and the collapse of an empty intersection onto the
+# nearer endpoint, meet edges exactly on these values
+EDGES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) | st.floats(-3.0, 3.0)
+BOXES = st.tuples(EDGES, EDGES).map(sorted)
+
+
+def assert_one_intersection_is_two(prev, steps, actuator, vvc):
+    # the v row's control box as two intersections (the rate box around
+    # prev with the actuator's v box, then with the raw VVC box) against
+    # one, of the rate box with the VVC box clipped into the actuator's as
+    # reward.vvc_bounds clips it: the same bits wherever the rate box meets
+    # the actuator's box; where it misses it, only the sign of a zero edge
+    # may differ
+    prev = np.array(prev, dtype=float)
+    (s_lo, s_hi), (g_lo, g_hi), (v_lo, v_hi) = (np.array(boxes, dtype=float).T
+                                                for boxes in (steps, actuator, vvc))
+    lo, hi = intersect_interval(prev + s_lo, prev + s_hi, g_lo, g_hi)
+    two = intersect_interval(lo, hi, v_lo, v_hi)
+    clipped = (np.minimum(g_hi, np.maximum(g_lo, v_lo)),
+               np.minimum(g_hi, np.maximum(g_lo, v_hi)))
+    one = control_intervals(prev, (*clipped, s_lo, s_hi))
+    meets = np.maximum(prev + s_lo, g_lo) <= np.minimum(prev + s_hi, g_hi)
+    for a, b in zip(one, two):
+        assert np.array_equal(a, b)
+        assert a[meets].tobytes() == b[meets].tobytes()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(EDGES, BOXES, BOXES, BOXES), min_size=1, max_size=8))
+def test_one_intersection_with_the_clipped_vvc_box_is_the_two_step_box(lanes):
+    assert_one_intersection_is_two(*zip(*lanes))
+
+
+def test_one_intersection_is_the_two_step_box_for_every_edge_order():
+    # six edges on six values realize every order of them, ties included:
+    # boxes inside, straddling and outside one another, and every collapse
+    values = np.arange(6.0)
+    boxes = [(lo, hi) for lo in values for hi in values if lo <= hi]
+    cases = [(0.0, r, g, v) for r in boxes for g in boxes for v in boxes]
+    assert_one_intersection_is_two(*zip(*cases))

@@ -182,21 +182,23 @@ def test_batch_rollout_compaction_is_lane_exact():
     assert mixed >= 8
 
 
+def counted(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_one_lane_step_wraps_the_goal_difference_once(monkeypatch):
     # a one-lane rollout that meets its goal after k steps forms goal - z
     # once per goal test (k + 1) and wraps an angle once per goal
     # difference, once per bicycle step and once for the initial state
     from tshc import dynamics, envs, reward, tasks
     calls = {"goal_difference": 0, "wrap_angle": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
     monkeypatch.setattr(reward, "goal_difference",
-                        counted("goal_difference", reward.goal_difference))
-    wrap = counted("wrap_angle", dynamics.wrap_angle)
+                        counted(calls, "goal_difference", reward.goal_difference))
+    wrap = counted(calls, "wrap_angle", dynamics.wrap_angle)
     for module in (dynamics, envs, reward, tasks):
         monkeypatch.setattr(module, "wrap_angle", wrap)
     task = freeform_task((0, 0, 0, 0), (1.0, 0, 0, 0), Tolerances(0.5, 3.0, 3.0))
@@ -205,6 +207,27 @@ def test_one_lane_step_wraps_the_goal_difference_once(monkeypatch):
     k = res.steps
     assert res.success == 1 and k > 1
     assert calls == {"goal_difference": k + 1, "wrap_angle": 2 * k + 2}
+
+
+@pytest.mark.parametrize("mode", [VVC_CONSTANT, VVC_SPATIAL])
+@pytest.mark.parametrize("task_count", [1, 3])
+def test_vvc_box_is_built_once_per_constant_margin_rollout(monkeypatch, mode, task_count):
+    # the constant-margin box is the same everywhere inside r_thresh: one
+    # vvc_bounds call builds it per rollout, and no step clips; the spatial
+    # box depends on the distance, so every step builds it
+    from tshc import reward
+    calls = {"vvc_bounds": 0, "clip": 0}
+    monkeypatch.setattr(reward, "vvc_bounds", counted(calls, "vvc_bounds", reward.vvc_bounds))
+    monkeypatch.setattr(np, "clip", counted(calls, "clip", np.clip))
+    env = VehicleEnv(VehicleParams(Ts=0.1), vvc=VvcConfig(mode, r_thresh=0.8))
+    task_list = [freeform_task((0, 0, 0, 0), (x, 0, 0, 0), Tolerances(0.2, 3.0, 3.0),
+                               task_id=str(x)) for x in (1.0, 1.5, 2.0)[:task_count]]
+    thetas = np.random.default_rng(0).normal(0.0, 3.0, size=(4, param_count(SPEC4)))
+    res = batch_rollout(thetas, SPEC4, task_list, env, 40, 1)
+    python_steps = int(res[4].max())
+    assert python_steps > 1
+    expected = 1 if mode == VVC_CONSTANT else python_steps
+    assert calls == {"vvc_bounds": expected, "clip": 0}
 
 
 class ScriptedGoalEnv:
@@ -658,6 +681,35 @@ def test_tshc_run_worker_count_invariance():
     assert (best_1.theta is None) == (best_3.theta is None)
     if best_1.theta is not None:
         assert np.array_equal(best_1.theta, best_3.theta)
+
+
+@pytest.mark.parametrize("workers, n_candidates, started", [(4, 2, [2]), (3, 1, [])])
+def test_tshc_run_forks_only_the_workers_a_fan_out_uses(monkeypatch, workers,
+                                                        n_candidates, started):
+    from tshc import trainer
+    pools = []
+
+    class StubPool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def starmap(self, fn, jobs):
+            return [fn(*job) for job in jobs]
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    class StubContext:
+        Pool = StubPool
+    monkeypatch.setattr(trainer, "get_context", lambda method: StubContext())
+    task = freeform_task((0, 0, 0, 0), (1, 0, 0, 0))
+    cfg = TshcConfig(n_restarts=1, n_iter_max=2, n_candidates=n_candidates, t_max=10,
+                     workers=workers, seed=0)
+    tshc_run(cfg, [task], small_env(), SPEC4)
+    assert pools == started
 
 
 def test_candidate_theta_counter_seeding():
