@@ -4,20 +4,40 @@ The ``*_arrays`` kernels take a state's coordinates as the rows of one
 array, elementwise over its lanes (columns), and serve every rollout,
 batched or a one-lane replay; the single-state wrappers over them
 (``step_bicycle``, ``step_pendulum``, ``clamp_controls``) serve test oracles.
+
+The constants a step reads are 0-d float64 arrays (``scalar_array``, and the
+``arrays`` of the plant parameters): a ufunc takes one faster than a
+Python float, with the same bits, and a step makes dozens of such calls
+on a handful of lanes.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+
+def scalar_array(value):
+    """``value`` as a read-only 0-d float64 array."""
+    a = np.array(float(value))
+    a.setflags(write=False)
+    return a
+
+
+def scalar_arrays(**values):
+    """A namespace of ``scalar_array``s, one per keyword."""
+    return SimpleNamespace(**{name: scalar_array(v) for name, v in values.items()})
+
+
+PI = scalar_array(math.pi)
+TWO_PI = scalar_array(2.0 * math.pi)
 
 
 def wrap_angle(a, out=None):
     """Wrap an angle (scalar or array) to (-pi, pi]; ``out`` may be ``a``."""
-    return np.subtract(a, TWO_PI * np.ceil((a - math.pi) / TWO_PI), out=out)
+    return np.subtract(a, TWO_PI * np.ceil((a - PI) / TWO_PI), out=out)
 
 
 @dataclass(frozen=True)
@@ -64,6 +84,11 @@ class VehicleParams:
             raise ValueError("workspace box is degenerate")
 
     @cached_property
+    def arrays(self):
+        """``Ts`` and ``l_f`` as 0-d arrays, what a bicycle step reads."""
+        return scalar_arrays(Ts=self.Ts, l_f=self.l_f)
+
+    @cached_property
     def boxes(self):
         """(2, 1) low and high corner columns of the workspace, then a pair
         per obstacle: what ``crash_check_arrays`` compares positions with."""
@@ -95,6 +120,15 @@ class PendulumParams:
         for name in ("m_cart", "m_pole", "half_length", "Ts", "f_max", "p_limit"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
+    @cached_property
+    def arrays(self):
+        """The constants a cart-pole step reads, as 0-d arrays."""
+        return scalar_arrays(
+            m_pole=self.m_pole, half_length=self.half_length, g=self.g, Ts=self.Ts,
+            m_total=self.m_cart + self.m_pole, ml=self.m_pole * self.half_length,
+            four_thirds=4.0 / 3.0, f_min=-self.f_max, f_max=self.f_max,
+            p_limit=self.p_limit)
 
 
 @dataclass(frozen=True)
@@ -154,11 +188,11 @@ def step_bicycle_arrays(pose, v, delta, params: VehicleParams, out=None):
     x, y, psi = pose
     if out is None:
         out = np.empty(np.shape(pose))
-    Ts = params.Ts
-    tv = Ts * v
+    a = params.arrays
+    tv = a.Ts * v
     np.add(x, tv * np.cos(psi), out=out[0])
     np.add(y, tv * np.sin(psi), out=out[1])
-    np.add(psi, Ts * (v / params.l_f) * np.tan(delta), out=out[2])
+    np.add(psi, a.Ts * (v / a.l_f) * np.tan(delta), out=out[2])
     wrap_angle(out[2], out=out[2])
     return out
 
@@ -181,14 +215,13 @@ def crash_check_arrays(xy, params: VehicleParams):
 
 def pendulum_accelerations(theta, theta_dot, force, params: PendulumParams):
     """Cart and pole angular accelerations; theta measured from upright."""
-    m_total = params.m_cart + params.m_pole
-    ml = params.m_pole * params.half_length
+    a = params.arrays
     sin = np.sin(theta)
     cos = np.cos(theta)
-    tmp = (force + ml * theta_dot * theta_dot * sin) / m_total
-    theta_acc = (params.g * sin - cos * tmp) / (
-        params.half_length * (4.0 / 3.0 - params.m_pole * cos * cos / m_total))
-    p_acc = tmp - ml * theta_acc * cos / m_total
+    tmp = (force + a.ml * theta_dot * theta_dot * sin) / a.m_total
+    theta_acc = (a.g * sin - cos * tmp) / (
+        a.half_length * (a.four_thirds - a.m_pole * cos * cos / a.m_total))
+    p_acc = tmp - a.ml * theta_acc * cos / a.m_total
     return p_acc, theta_acc
 
 
@@ -201,7 +234,7 @@ def step_pendulum_arrays(z, force, params: PendulumParams):
     rate = np.empty(np.shape(z))
     rate[0::2] = z[1::2]  # p_dot, theta_dot
     rate[1], rate[3] = pendulum_accelerations(z[2], z[3], force, params)
-    nxt = z + params.Ts * rate
+    nxt = z + params.arrays.Ts * rate
     wrap_angle(nxt[2], out=nxt[2])
     return nxt
 

@@ -117,8 +117,14 @@ class VehicleEnv:
         return replace(c, near=(np.where(_V_ROW, v_lo, lo), np.where(_V_ROW, v_hi, hi)))
 
     def init_arrays(self, task_list, n):
-        """(5, tasks * n) state: x, y, psi, v_prev, delta_prev."""
-        return _initial_state(task_list, 1, n)
+        """(5, tasks * n) state: x, y, psi, v_prev, delta_prev.
+
+        A lane starts from its task's speed at the nearest admissible one,
+        inside [v_min, v_max], so that the first rate box lies inside the
+        actuator box; delta_prev starts at 0."""
+        S = _initial_state(task_list, 1, n)
+        np.minimum(np.maximum(S[3], self.limits.v_min), self.limits.v_max, out=S[3])
+        return S
 
     def observe(self, S, c):
         """The goal difference of the state rows ``S``, read by the step."""
@@ -137,7 +143,7 @@ class VehicleEnv:
         observation is ``obs``."""
         lo, hi, step_lo, step_hi = c.bounds
         if self.vvc.mode == reward.VVC_CONSTANT:
-            far = np.hypot(obs[0], obs[1]) >= self.vvc.r_thresh
+            far = np.hypot(obs[0], obs[1]) >= self.vvc.arrays.r_thresh
             lo, hi = np.where(far, lo, c.near[0]), np.where(far, hi, c.near[1])
         elif self.vvc.mode == reward.VVC_SPATIAL:
             lim = self.limits
@@ -189,9 +195,9 @@ class PendulumEnv:
     def apply_arrays(self, S, raw, c, obs):
         """Next state, applied force as a (1, lanes) row, step length of the
         cart and crash-or-non-finite flag of one step."""
-        f_max = self.params.f_max
-        force = affine_scale(raw[:, 0], -f_max, f_max)
+        a = self.params.arrays
+        force = affine_scale(raw[:, 0], a.f_min, a.f_max)
         nxt = dynamics.step_pendulum_arrays(S, force, self.params)
         step = np.abs(nxt[0] - S[0])
-        crash = np.abs(nxt[0]) > self.params.p_limit
+        crash = np.abs(nxt[0]) > a.p_limit
         return nxt, force[None], step, crash | ~np.isfinite(nxt).all(0)

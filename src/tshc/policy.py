@@ -9,7 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ActuatorLimits, rate_limited_interval
+from .dynamics import ActuatorLimits, rate_limited_interval, scalar_array
+
+_ONE = scalar_array(1.0)
+_HALF = scalar_array(0.5)
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,9 @@ def forward_layers(layers, s):
     """
     x = s
     for w, b in layers:
-        x = np.tanh(np.matmul(w, x[..., None])[..., 0] + b)
+        x = np.matmul(w, x[..., None])[..., 0]
+        np.add(x, b, out=x)
+        np.tanh(x, out=x)
     return x
 
 
@@ -100,5 +105,5 @@ def control_intervals(prev, bounds):
 
 def affine_scale(raw, lo, hi, out=None):
     """Map raw in [-1, 1] onto [lo, hi]; endpoints map exactly."""
-    u = (raw + 1.0) * 0.5
-    return np.add(lo * (1.0 - u), hi * u, out=out)
+    u = (raw + _ONE) * _HALF
+    return np.add(lo * (_ONE - u), hi * u, out=out)

@@ -7,10 +7,11 @@ stay portable.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import wrap_angle
+from .dynamics import scalar_arrays, wrap_angle
 
 VVC_OFF = "off"
 VVC_SPATIAL = "spatial"
@@ -45,6 +46,11 @@ class VvcConfig:
             raise ValueError("r_thresh must be positive")
         if self.margin < 0.0:
             raise ValueError("margin must be non-negative")
+
+    @cached_property
+    def arrays(self):
+        """``r_thresh`` as a 0-d array, what a vehicle step compares with."""
+        return scalar_arrays(r_thresh=self.r_thresh)
 
 
 @dataclass(frozen=True)

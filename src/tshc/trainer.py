@@ -10,9 +10,12 @@ columns are built once per rollout.  A lane that reaches its goal,
 crashes, goes non-finite or reaches its task's horizon is dropped from the
 working arrays and columns at once, so later steps compute only the live
 lanes; its step count, path length and reward are written when it leaves.
-Every lane is independent, so neither folding tasks, dropping lanes nor
-splitting the fan-out across worker processes changes a bit: results are
-identical for any batch size, task grouping and worker count.  Candidate
+The working arrays hold the live lanes in slot order, which a retirement
+permutes: each survivor past the new lane count moves into the slot of a
+retired lane, so the weight stack copies only those survivors.  Every lane
+is independent, so neither folding tasks, the slot order, dropping lanes
+nor splitting the fan-out across worker processes changes a bit: results
+are identical for any batch size, task grouping and worker count.  Candidate
 noise is derived from a counter-based sub-seed (seed, restart, iteration,
 candidate), which makes runs reproducible for any worker count.
 """
@@ -135,7 +138,12 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
-    if len(task_list) > 1:
+    # a retirement moves weight slots in place, so the stack must be the
+    # rollout's own: a tiled one is, while one task's layers are views of
+    # the caller's thetas until the first retirement that moves a slot
+    # copies the survivors
+    private = len(task_list) > 1
+    if private:
         thetas = np.tile(thetas, (len(task_list), 1))
     lanes = thetas.shape[0]
     layers = unflatten(thetas, spec)
@@ -157,7 +165,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     stops = iter(sorted(set(horizons)))
     k = 5 - env.control_dim  # pose rows in a trajectory row
     if record:
-        # a step writes the rows of the live lanes, in working order, to
+        # a step writes the rows of the live lanes, in slot order, to
         # ``steps_rec``; a retirement moves the rows written since the last
         # one (``since``) to the lanes' own rows of ``rec``
         rec = np.empty((T + 1, lanes, k + env.control_dim))
@@ -165,8 +173,8 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         since = 0
     # the working arrays (S and its observation, layers, consts, goal_run,
     # last_raw, run and the running path length and reward) hold the live
-    # lanes only; ``live`` maps them to their lanes, and a lane's results are
-    # written when it retires
+    # lanes only, in slot order; ``live`` maps the slots to their lanes, and
+    # a lane's results are written when it retires
     live = np.arange(lanes)
     last_raw = np.zeros(lanes)
     run = np.zeros(lanes, dtype=np.int64)
@@ -179,7 +187,8 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     J = np.zeros(lanes)
 
     def retire(gone, n_steps):
-        nonlocal live, S, obs, layers, consts, goal_run, last_raw, run, path, dense, since
+        nonlocal live, S, obs, layers, private, consts, goal_run, last_raw, run, path, \
+            dense, since
         rows = live[gone]
         terminal[:, rows] = S[:, gone]
         steps[rows] = n_steps
@@ -191,11 +200,26 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
             since = n_steps
             rec[n_steps, rows, :k] = S[:k, gone].T
             rec[n_steps, rows, k:] = rec[n_steps - 1, rows, k:] if n_steps else 0.0
-        keep = np.flatnonzero(~gone)
+        # the m survivors take slots [0, m): one past m moves into the slot
+        # of a lane retired before m, and the others stay where they are
+        m = live.size - np.count_nonzero(gone)
+        holes = np.flatnonzero(gone[:m])
+        movers = np.flatnonzero(~gone[m:]) + m
+        keep = np.arange(m)
+        keep[holes] = movers
         live = live[keep]
         S = S[:, keep]
         obs = obs[:, keep]
-        layers = [(w[keep], b[keep]) for w, b in layers]
+        if holes.size and not private:
+            layers = [(w[keep], b[keep]) for w, b in layers]
+            private = True
+        else:
+            # only the movers' weights are copied; each layer is a view
+            if holes.size:
+                for w, b in layers:
+                    w[holes] = w[movers]
+                    b[holes] = b[movers]
+            layers = [(w[:m], b[:m]) for w, b in layers]
         consts = consts.compact(keep)
         if isinstance(goal_run, np.ndarray):
             goal_run = goal_run[keep]

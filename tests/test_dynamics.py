@@ -10,6 +10,7 @@ from tshc.dynamics import (ActuatorLimits, Control, PendulumParams, PendulumStat
                            pendulum_accelerations,
                            pendulum_energy, rate_limited_interval, step_bicycle,
                            step_pendulum, wrap_angle)
+from tshc.tasks import mirror_goal
 
 LIM = ActuatorLimits()
 PAR = VehicleParams()
@@ -216,6 +217,31 @@ def test_pendulum_hanging_step_oracle():
     p_acc, theta_acc = pendulum_accelerations(math.pi, 0.0, 10.0, PEND)
     assert abs(theta_acc - 14.634146341463415) < 1e-12
     assert abs(p_acc - 9.75609756097561) < 1e-12
+
+
+def test_pendulum_step_takes_python_scalars():
+    # the kernels read their constants as 0-d arrays; Python floats still
+    # go in, and the results equal the formulas in Python floats, bit for bit
+    par = PendulumParams(m_cart=0.7, m_pole=0.3, half_length=0.4, Ts=0.05)
+    theta, theta_dot, force = 2.5, -1.3, 4.0
+    m_total = par.m_cart + par.m_pole
+    ml = par.m_pole * par.half_length
+    sin, cos = float(np.sin(theta)), float(np.cos(theta))
+    tmp = (force + ml * theta_dot * theta_dot * sin) / m_total
+    theta_acc = (par.g * sin - cos * tmp) / (
+        par.half_length * (4.0 / 3.0 - par.m_pole * cos * cos / m_total))
+    p_acc = tmp - ml * theta_acc * cos / m_total
+    got = pendulum_accelerations(theta, theta_dot, force, par)
+    assert [float(a) for a in got] == [p_acc, theta_acc]
+    n = step_pendulum(PendulumState(0.1, 0.2, theta, theta_dot), force, par)
+    assert (n.p, n.p_dot, n.theta_dot) == (0.1 + par.Ts * 0.2, 0.2 + par.Ts * p_acc,
+                                           theta_dot + par.Ts * theta_acc)
+    assert n.theta == theta + par.Ts * theta_dot
+    for a in (-math.pi, 4.0, -7.5):
+        w = wrap_angle(a)
+        assert np.ndim(w) == 0
+        assert float(w) == a - 2.0 * math.pi * math.ceil((a - math.pi) / (2.0 * math.pi))
+    assert mirror_goal((1.0, 2.0, -math.pi, 3.0)) == (1.0, -2.0, math.pi, 3.0)
 
 
 def test_pendulum_energy_drift_halves_with_timestep():

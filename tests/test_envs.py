@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from xml.etree import ElementTree
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 
 from tshc import reward
-from tshc.dynamics import PendulumParams, VehicleParams, crash_check_arrays
+from tshc.dynamics import ActuatorLimits, PendulumParams, VehicleParams, crash_check_arrays
 from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.plotting import render_svg
+from tshc.policy import MlpSpec, param_count
 from tshc.reward import VVC_SPATIAL, Tolerances, VvcConfig, vvc_bounds
 from tshc.tasks import GOAL5, VehicleNorm, freeform_task, pendulum_tasks
+from tshc.trainer import rollout
 
 
 def goal_mask(env, S, task):
@@ -31,6 +34,28 @@ def test_vehicle_init_arrays_normalizes_heading():
     assert S.shape == (5, 2) and S.flags.c_contiguous
     assert np.allclose(S[2], math.pi)
     assert np.all(S[4] == 0.0)  # delta_prev
+
+
+def test_vehicle_start_speed_is_the_nearest_admissible_one():
+    # a task's start speed outside [v_min, v_max] starts at the nearer
+    # bound; inside it, it is kept as it is
+    tasks = [freeform_task((0, 0, 0, v), (5, 0, 0, 2)) for v in (0.0, 12.0, 3.0, -0.5)]
+    S = VehicleEnv(limits=ActuatorLimits(v_min=1.0)).init_arrays(tasks, 2)
+    assert S[3].tolist() == [1.0, 1.0, 10.0, 10.0, 3.0, 3.0, 1.0, 1.0]
+    assert VehicleEnv().init_arrays(tasks, 1)[3].tolist() == [0.0, 10.0, 3.0, -0.5]
+
+
+def test_zero_policy_never_commands_below_v_min():
+    # the midpoint of every control box, from a start at rest: the first
+    # box is [1.0, 1.5] around the admissible start speed 1.0, not the
+    # [0.2, 0.5] rate box around 0, which misses the actuator box
+    env = VehicleEnv(VehicleParams(Ts=0.1), limits=ActuatorLimits(v_min=1.0))
+    spec = MlpSpec((4, 8, 2))
+    res = rollout(np.zeros(param_count(spec)), freeform_task((0, 0, 0, 0), (50, 0, 0, 2)),
+                  env, spec, 40, record=True)
+    v = [row[4] for row in res.trajectory]
+    assert res.steps == 40 and len(v) == 41
+    assert v[0] == 1.25 and min(v) >= 1.0
 
 
 def test_vehicle_goal_mask_matches_tolerances():
@@ -102,6 +127,23 @@ def test_pendulum_apply_scales_force_and_crashes_at_track_end():
     S = np.array([[2.39], [3.0], [0.0], [0.0]])
     _, _, _, crash = apply(env, S, [[1.0]], task)
     assert bool(crash[0])
+
+
+def test_pendulum_force_bound_follows_replaced_params():
+    # the 0-d constants are cached per parameter instance: a replaced
+    # instance computes its own, here a force bound of 5 N
+    base = PendulumParams()
+    assert base.arrays.f_max == 10.0
+    env = PendulumEnv(dataclasses.replace(base, f_max=5.0))
+    task = pendulum_tasks("stabilize")[0]
+    _, controls, _, _ = apply(env, env.init_arrays([task], 3), [[1.0], [-1.0], [0.0]], task)
+    assert controls.tolist() == [[5.0, -5.0, 0.0]]
+    spec = MlpSpec((4, 8, 1))
+    theta = np.random.default_rng(0).normal(0.0, 30.0, param_count(spec))
+    res = rollout(theta, task, env, spec, 30, t_goal=100, record=True)
+    force = np.array([row[5] for row in res.trajectory[:-1]])
+    assert len(force) == res.steps > 0
+    assert np.all(np.abs(force) <= 5.0) and np.any(np.abs(force) == 5.0)
 
 
 def test_pendulum_pathlength_is_cart_travel():

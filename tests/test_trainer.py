@@ -182,6 +182,64 @@ def test_batch_rollout_compaction_is_lane_exact():
     assert mixed >= 8
 
 
+def _retires_out_of_order(steps):
+    """Whether some lane retires before a lane of higher index, so that a
+    retirement moves a survivor into a lower slot."""
+    later = np.maximum.accumulate(steps[::-1])[::-1]
+    return bool(np.any(steps[:-1] < later[1:]))
+
+
+def _wide_cases():
+    """Pendulum tasks whose lanes solve, crash and time out at scattered
+    steps on a [4, 64, 64, 1] network: (env, tasks, spec, t_max, thetas)."""
+    env = PendulumEnv(PendulumParams(p_limit=1.0))
+    task_list = [pendulum_tasks("swingup")[0],
+                 Task("tilted", PENDULUM, (0, 0, 0.4, 0), (0, 0, 0, 0),
+                      Tolerances(1.0, 0.2, 1.0), PENDULUM4, t_goal=3),
+                 Task("short", PENDULUM, (0, 0, -0.3, 0.5), (0, 0, 0, 0),
+                      Tolerances(1.0, 0.1, 1.0), PENDULUM4, t_max=37)]
+    spec = MlpSpec((4, 64, 64, 1))
+    rng = np.random.default_rng(2)
+    thetas = rng.normal(0.0, 1.0, (48, param_count(spec))) * np.geomspace(0.03, 1.0, 48)[:, None]
+    return env, task_list, spec, 80, thetas
+
+
+def test_batch_rollout_leaves_thetas_unchanged():
+    # a retirement moves weight slots inside the rollout's own stack, never
+    # inside the caller's thetas: one task, whose layers start as views of
+    # them, and a folded list, while lanes retire out of index order
+    env, task_list, spec, t_max, thetas = _wide_cases()
+    thetas = thetas[::3]
+    before = thetas.tobytes()
+    for group in (task_list[1:2], task_list):
+        steps = batch_rollout(thetas, spec, group, env, t_max, 1, record=True)[4]
+        assert _retires_out_of_order(steps)
+        assert thetas.tobytes() == before
+
+
+def test_slot_moves_are_lane_exact_on_a_wide_network():
+    # 48 lanes on the swing-up network finish at scattered steps, so most
+    # retirements move survivors into the slots of retired lanes; every lane
+    # must equal its one-lane rollout bit for bit: the five outputs, the
+    # terminal column and the recorded trajectory
+    env, task_list, spec, t_max, thetas = _wide_cases()
+    kinds = set()
+    for group, rows in ((task_list, thetas[::3]), (task_list[1:2], thetas)):
+        out = batch_rollout(rows, spec, group, env, t_max, 1, record=True)
+        assert len(out[0]) == 48
+        assert _retires_out_of_order(out[4]) and len(set(out[4].tolist())) >= 10
+        for k, task in enumerate(group):
+            for i in range(len(rows)):
+                lane = k * len(rows) + i
+                one = batch_rollout(rows[i], spec, [task], env, t_max, 1, record=True)
+                for a, b in zip(out[:5], one[:5]):
+                    assert a[lane:lane + 1].tobytes() == b.tobytes(), (task.id, i)
+                assert out[6][:, lane:lane + 1].tobytes() == one[6].tobytes()
+                assert out[5][lane].tobytes() == one[5][0].tobytes()
+                kinds.add(_finish_kind(out[0][lane], out[3][lane], out[4][lane]))
+    assert {"goal run", "crash", "timeout"} <= kinds
+
+
 def counted(calls, name, fn):
     """``fn``, counting its calls in ``calls[name]``."""
     def wrapper(*args, **kwargs):
