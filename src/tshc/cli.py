@@ -25,7 +25,7 @@ from . import artifacts, plotting, trainer
 from . import tasks as tasklib
 from .config import (REPLAY, ConfigError, DEFAULT_OUTPUT_ENV_VAR, VEHICLE_STATE, dump,
                      env_from_config, load, load_run_config, parse_quantity)
-from .policy import MlpSpec, param_count
+from .policy import MlpSpec
 from .trainer import rollout, tshc_run
 
 
@@ -129,23 +129,28 @@ def _read_checkpoint(args):
     """The checkpoint ``args.checkpoint``, its rebuilt environment, policy
     spec and replay template, a setpoint ``Task`` whose ``t_max`` and
     ``t_goal`` are the replay horizon; a checkpoint that cannot be read or
-    rebuilt, or whose policy does not fit its environment, exits 2."""
+    rebuilt exits 2."""
     path = args.checkpoint
     try:
         doc = artifacts.read_checkpoint(path)
-        env = env_from_config(doc["env"], doc["normalization"])
-        replay = load(doc.get("replay", {}), REPLAY, f"{path}: replay", env_kind=env.kind)
-        doc["seed"] = load(doc.get("seed", 0), int, f"{path}: seed")
-        spec = MlpSpec(load(doc["layer_sizes"], [int], f"{path}: layer_sizes"))
     except (OSError, ValueError) as exc:  # ConfigError included
         _fail(exc)
-    if doc["theta"].shape != (param_count(spec),):
-        _fail(f"{path}: parameter vector has length {doc['theta'].size}, "
-              f"spec {spec.layer_sizes} needs {param_count(spec)}")
-    if spec.output_dim != env.control_dim:
-        _fail(f"{path}: policy outputs {spec.output_dim} channels, "
-              f"environment needs {env.control_dim}")
+    try:
+        env = env_from_config(doc["env"], doc["normalization"])
+        replay = load(doc.get("replay", {}), REPLAY, "replay", env_kind=env.kind)
+        doc["seed"] = load(doc.get("seed", 0), int, "seed")
+        spec = MlpSpec(load(doc["layer_sizes"], [int], "layer_sizes"))
+    except ValueError as exc:
+        _fail(f"{path}: {exc}")
     return doc, env, spec, replay
+
+
+def _check_fit(args, task_list, env, spec, theta):
+    """Exit 2 unless the checkpoint's policy fits ``task_list`` and its env."""
+    try:
+        trainer.check_fit(task_list, env, spec, theta)
+    except ValueError as exc:
+        _fail(f"{args.checkpoint}: {exc}")
 
 
 def _read_tasks(args, option):
@@ -199,12 +204,7 @@ def cmd_replay(args):
         goal = tasklib.mirror_goal(tup.z_goal) if args.mirror else tup.z_goal
         task = dataclasses.replace(replay, z_goal=goal)
 
-    if task.env_kind != env.kind:
-        _fail(f"checkpoint environment is {env.kind!r} but task "
-              f"{task.id!r} is {task.env_kind!r}")
-    if env.feature_dim(task) != spec.input_dim:
-        _fail(f"task {task.id!r} produces {env.feature_dim(task)} features "
-              f"but the checkpoint policy expects {spec.input_dim}")
+    _check_fit(args, [task], env, spec, doc["theta"])
     if args.task is not None:
         _check_digest(args, doc, task_list)
 
@@ -230,6 +230,7 @@ def cmd_plot(args):
     if args.checkpoint is not None:
         task_list = _read_tasks(args, "--checkpoint")
         doc, env, spec, replay = _read_checkpoint(args)
+        _check_fit(args, task_list, env, spec, doc["theta"])
         _check_digest(args, doc, task_list)
         # every task in one recorded rollout, a lane per task
         recorded = trainer.batch_rollout(doc["theta"], spec, task_list, env, replay.t_max,

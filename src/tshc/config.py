@@ -73,13 +73,16 @@ class _Section(NamedTuple):  # kind of a mapping read into cls through table
 
 
 def load(raw, kind, path, **fixed):
-    """One value of ``kind``: a unit kind of ``_UNIT_FACTORS`` (a quantity,
-    in SI), exactly an ``int``, ``bool`` or ``str``, a tuple of kinds (a
-    list of that many values), a one-kind list (a list of any length) or a
-    ``_Section``, whose ``fixed`` fields join its fallback.  Errors are
-    ``ConfigError``s that name the dotted key and index."""
+    """One value of ``kind``: a unit kind of ``_UNIT_FACTORS`` (a finite
+    quantity, in SI), exactly an ``int``, ``bool`` or ``str``, a tuple of
+    kinds (a list of that many values), a one-kind list (a list of any
+    length) or a ``_Section``, whose ``fixed`` fields join its fallback.
+    Errors are ``ConfigError``s that name the dotted key and index."""
     if isinstance(kind, str):
-        return parse_quantity(raw, kind, path)
+        value = parse_quantity(raw, kind, path)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite quantity, got {raw!r}")
+        return value
     if isinstance(kind, _Section):
         return _section(raw, path, kind.cls, kind.table, **{**kind.fallback, **fixed})
     if isinstance(kind, type):

@@ -79,9 +79,12 @@ class VehicleParams:
             raise ValueError("wheelbase must be positive")
         if self.Ts <= 0.0:
             raise ValueError("sampling time must be positive")
-        xmin, ymin, xmax, ymax = self.workspace
-        if not (xmin < xmax and ymin < ymax):
-            raise ValueError("workspace box is degenerate")
+        for i, box in enumerate((self.workspace, *self.obstacles)):
+            xmin, ymin, xmax, ymax = box
+            if not (xmin < xmax and ymin < ymax):
+                name = f"obstacles[{i - 1}]" if i else "workspace"
+                raise ValueError(f"{name} box {tuple(box)} is degenerate: "
+                                 f"need xmin < xmax and ymin < ymax")
 
     @cached_property
     def arrays(self):
@@ -140,19 +143,6 @@ class PendulumState:
     t: int = 0
 
 
-def rate_limited_interval(prev, abs_min, abs_max, step_min, step_max):
-    """Intersection of the absolute box with the rate box around the previous
-    command, [prev + step_min, prev + step_max], where a step bound is a rate
-    bound times the sampling time.
-
-    If the intersection is empty (the rate box lies fully outside the
-    absolute box), collapses to the rate-feasible endpoint nearest the
-    absolute box.  Works elementwise on arrays, such as the v and delta
-    rows of a (2, lanes) array with (2, 1) bound columns.
-    """
-    return intersect_interval(prev + step_min, prev + step_max, abs_min, abs_max)
-
-
 def intersect_interval(lo, hi, other_lo, other_hi):
     """Intersect [lo, hi] with [other_lo, other_hi] elementwise.
 
@@ -171,10 +161,11 @@ def intersect_interval(lo, hi, other_lo, other_hi):
 
 def clamp_controls(raw: Control, prev: Control, lim: ActuatorLimits, Ts: float) -> Control:
     """Project a raw command onto the admissible absolute-and-rate box."""
-    v_lo, v_hi = rate_limited_interval(prev.v, lim.v_min, lim.v_max,
-                                       lim.vdot_min * Ts, lim.vdot_max * Ts)
-    d_lo, d_hi = rate_limited_interval(prev.delta, lim.delta_min, lim.delta_max,
-                                       lim.deltadot_min * Ts, lim.deltadot_max * Ts)
+    v_lo, v_hi = intersect_interval(prev.v + lim.vdot_min * Ts, prev.v + lim.vdot_max * Ts,
+                                    lim.v_min, lim.v_max)
+    d_lo, d_hi = intersect_interval(prev.delta + lim.deltadot_min * Ts,
+                                    prev.delta + lim.deltadot_max * Ts,
+                                    lim.delta_min, lim.delta_max)
     return Control(float(np.clip(raw.v, v_lo, v_hi)),
                    float(np.clip(raw.delta, d_lo, d_hi)))
 

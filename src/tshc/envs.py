@@ -18,11 +18,12 @@ VVC, the control box near the goal.  A step observes the state once,
 cart-pole's state itself; the goal test, the features and the control box
 with VVC all read it, and the goal test is one comparison of the (3, lanes)
 goal errors with the tolerance column.  The vehicle's control box is one
-intersection per step, of the rate box around the previous controls with
-an absolute box: the actuator limits, or near the goal the VVC box clipped
-into them (picked per lane for a constant margin, built per step for a
-spatial one).  Each lane is computed independently, so results are
-bit-identical no matter how candidates and tasks are grouped into batches.
+intersection per step, ``control_intervals``, of the rate box around the
+previous controls with an absolute box: the actuator limits, or near the
+goal the VVC box clipped into them (picked per lane for a constant margin,
+built per step for a spatial one).  Each lane is computed independently,
+so results are bit-identical no matter how candidates and tasks are
+grouped into batches.
 """
 
 from dataclasses import dataclass, replace
@@ -31,8 +32,27 @@ import numpy as np
 
 from . import dynamics, reward, tasks
 from .dynamics import ActuatorLimits, PendulumParams, VehicleParams, wrap_angle
-from .policy import affine_scale, control_bounds, control_intervals
+from .policy import affine_scale
 from .reward import VvcConfig
+
+
+def control_bounds(lim: ActuatorLimits, Ts):
+    """(2, 1) columns of the v and delta channels: absolute minimum and
+    maximum, then the largest step down and up in one sample (rate * Ts)."""
+    return (np.array([[lim.v_min], [lim.delta_min]]),
+            np.array([[lim.v_max], [lim.delta_max]]),
+            np.array([[lim.vdot_min * Ts], [lim.deltadot_min * Ts]]),
+            np.array([[lim.vdot_max * Ts], [lim.deltadot_max * Ts]]))
+
+
+def control_intervals(prev, bounds):
+    """Admissible [lo, hi] of the v (row 0) and delta (row 1) channels: the
+    rate box around the previous commands ``prev``, a (2, lanes) array,
+    intersected with the absolute box.  ``bounds`` holds the four columns of
+    ``control_bounds``, whose absolute box may instead hold a column per
+    lane: a VVC box clipped into the actuator's v box narrows its row 0."""
+    lo, hi, step_lo, step_hi = bounds
+    return dynamics.intersect_interval(prev + step_lo, prev + step_hi, lo, hi)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
-"""Fully-connected tanh policy over a flat parameter vector.
+"""Fully-connected tanh policy over a flat parameter vector, and the
+affine map of its raw outputs in [-1, 1] onto a control box.
 
 The canonical flat ordering is layer by layer: the weight matrix in
 row-major order, then the bias vector.  No autograd; parameters are only
-ever sampled, perturbed (``trainer.candidate_theta``) and evaluated.
+ever sampled, perturbed (``trainer.candidate_theta``) and evaluated.  The
+box itself is the environment's (``envs.control_intervals``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ActuatorLimits, rate_limited_interval, scalar_array
+from .dynamics import scalar_array
 
 _ONE = scalar_array(1.0)
 _HALF = scalar_array(0.5)
@@ -81,26 +83,6 @@ def forward_layers(layers, s):
         np.add(x, b, out=x)
         np.tanh(x, out=x)
     return x
-
-
-def control_bounds(lim: ActuatorLimits, Ts):
-    """(2, 1) columns of the v and delta channels: absolute minimum and
-    maximum, then the largest step down and up in one sample (rate * Ts)."""
-    return (np.array([[lim.v_min], [lim.delta_min]]),
-            np.array([[lim.v_max], [lim.delta_max]]),
-            np.array([[lim.vdot_min * Ts], [lim.deltadot_min * Ts]]),
-            np.array([[lim.vdot_max * Ts], [lim.deltadot_max * Ts]]))
-
-
-def control_intervals(prev, bounds):
-    """Admissible [lo, hi] of the v (row 0) and delta (row 1) channels.
-
-    ``prev`` holds the previous commands as a (2, lanes) array and
-    ``bounds`` the four columns of ``control_bounds``, whose absolute box
-    may instead hold a column per lane: a VVC box clipped into the
-    actuator's v box narrows row 0 of it (``envs.VehicleEnv``).
-    """
-    return rate_limited_interval(prev, *bounds)
 
 
 def affine_scale(raw, lo, hi, out=None):

@@ -71,8 +71,18 @@ class GoalTuple:
             raise ValueError("goal tuple states must be finite")
 
 
+class _Norm:
+    """Feature scales, each one dividing a feature: positive, so that no
+    feature is infinite or mirrored."""
+
+    def __post_init__(self):
+        for name, scale in dataclasses.asdict(self).items():
+            if not scale > 0.0:
+                raise ValueError(f"{name}: normalization scale must be positive, got {scale}")
+
+
 @dataclass(frozen=True)
-class VehicleNorm:
+class VehicleNorm(_Norm):
     dx: float = 20.0
     dy: float = 20.0
     dpsi: float = math.pi
@@ -80,7 +90,7 @@ class VehicleNorm:
 
 
 @dataclass(frozen=True)
-class PendulumNorm:
+class PendulumNorm(_Norm):
     dp: float = 2.4
     dp_dot: float = 3.0
     dtheta: float = math.pi

@@ -186,10 +186,13 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     P = np.zeros(lanes)
     J = np.zeros(lanes)
 
-    def retire(gone, n_steps):
+    def retire(gone, n_steps, outcome=None):
+        # drops the lanes ``gone``, flagged in ``outcome``; True once none is left
         nonlocal live, S, obs, layers, private, consts, goal_run, last_raw, run, path, \
             dense, since
         rows = live[gone]
+        if outcome is not None:
+            outcome[rows] = True
         terminal[:, rows] = S[:, gone]
         steps[rows] = n_steps
         P[rows] = path[gone]
@@ -227,6 +230,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         run = run[keep]
         path = path[keep]
         dense = dense[keep]
+        return not m
 
     stop = next(stops)
     for t in range(T):
@@ -234,21 +238,16 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         if t == stop:
             timed_out = lane_horizon[live] == t
             stop = next(stops)
-            if np.count_nonzero(timed_out):
-                retire(timed_out, t)
-                if not live.size:
-                    break
+            if np.count_nonzero(timed_out) and retire(timed_out, t):
+                break
         run = (run + 1) * env.goal_mask(obs, consts)
         done = run >= goal_run
         if rich_weights is not None:
             # every live lane collects this step's reward, a lane that
             # reaches its goal run here included
             dense += reward.rich_values(S[:4], consts.goal, weights)
-        if np.count_nonzero(done):
-            success[live[done]] = 1
-            retire(done, t)
-            if not live.size:
-                break
+        if np.count_nonzero(done) and retire(done, t, success):
+            break
         feats = env.features_arrays(obs, consts, last_raw, features[:live.size])
         if mirror:
             feats = tasklib.mirror_features(feats, consts.recipe)
@@ -262,11 +261,8 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
             steps_rec[t, k:, :live.size] = controls
         S = S_next
         last_raw = raw[:, -1]
-        if np.count_nonzero(crash):
-            crashed[live[crash]] = True
-            retire(crash, t + 1)
-            if not live.size:
-                break
+        if np.count_nonzero(crash) and retire(crash, t + 1, crashed):
+            break
     retire(np.ones(live.size, dtype=bool), T)  # lanes that timed out
     if rich_weights is None:
         # the sparse reward is -1 per goal test: one per step, plus the
@@ -402,20 +398,31 @@ def draw_sigma(mode, rng, sigma_min, sigma_max):
     return sigma_max  # adaptive starts from the top of the range
 
 
+def check_fit(task_list, env, spec: MlpSpec, theta=None):
+    """Raise ``ValueError`` unless a policy of ``spec``, and the flat finite
+    ``theta`` if given, fits ``env`` and every task of ``task_list``."""
+    if spec.output_dim != env.control_dim:
+        raise ValueError(f"policy outputs {spec.output_dim} channels, "
+                         f"environment needs {env.control_dim}")
+    for task in task_list:
+        if task.env_kind != env.kind:
+            raise ValueError(f"task {task.id!r} is a {task.env_kind} task, "
+                             f"environment is {env.kind}")
+        if env.feature_dim(task) != spec.input_dim:
+            raise ValueError(f"task {task.id!r} produces {env.feature_dim(task)} features, "
+                             f"policy expects {spec.input_dim}")
+    if theta is not None:
+        unflatten(np.atleast_1d(theta), spec)  # raises on a length that does not fit
+        if np.ndim(theta) != 1 or not np.isfinite(theta).all():
+            raise ValueError("parameter vector must be flat and finite")
+
+
 def tshc_run(cfg: TshcConfig, task_list, env, policy_spec: MlpSpec,
              on_iteration=None, on_improved=None):
     """Full training run; returns (BestSolution, list of IterationRecord)."""
     if not task_list:
         raise ValueError("at least one training task is required")
-    for task in task_list:
-        if env.feature_dim(task) != policy_spec.input_dim:
-            raise ValueError(
-                f"task {task.id!r} produces {env.feature_dim(task)} features, "
-                f"policy expects {policy_spec.input_dim}")
-    if policy_spec.output_dim != env.control_dim:
-        raise ValueError(
-            f"policy outputs {policy_spec.output_dim} channels, "
-            f"environment needs {env.control_dim}")
+    check_fit(task_list, env, policy_spec)
     n_tasks = len(task_list)
     best = BestSolution()
     history = []

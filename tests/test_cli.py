@@ -8,7 +8,7 @@ import pytest
 
 from tshc import artifacts, cli
 from tshc.cli import main
-from tshc.tasks import DEFAULT_VEHICLE_TOL
+from tshc.tasks import DEFAULT_VEHICLE_TOL, pendulum_tasks
 
 TRIVIAL_YAML = """
 seed: 3
@@ -485,7 +485,8 @@ CHECKPOINT, TASKS = "checkpoint_seed3.json", "tasks_seed3.json"
     (CHECKPOINT, ("goal_tuples", 0, "achieved"), 0, "goal_tuples[0].achieved"),
     (CHECKPOINT, ("goal_tuples", 0), 5, "goal_tuples[0]"),
     (CHECKPOINT, ("goal_tuples", 0, "colour"), "red", "goal_tuples[0].colour"),
-    (CHECKPOINT, ("goal_tuples", 0, "achieved"), [0, 0, math.nan, 0], "goal_tuples[0]: "),
+    (CHECKPOINT, ("goal_tuples", 0, "achieved"), [0, 0, math.nan, 0],
+     "goal_tuples[0].achieved[2]: expected a finite quantity"),
     (TASKS, ("tasks", 0, "z0"), "0000", "tasks[0].z0"),
     (TASKS, ("tasks", 0, "colour"), "red", "tasks[0].colour"),
 ], ids=["replay_t_max_negative", "replay_t_goal_zero", "replay_t_max_fraction",
@@ -540,7 +541,11 @@ def test_json_that_is_not_an_object_exits_two(tmp_path, capsys):
     (lambda doc: doc["theta"].pop(), "parameter vector has length 65, spec (5, 8, 2) needs 66"),
     (lambda doc: doc.update(layer_sizes=[5, 8, 1], theta=doc["theta"][:57]),
      "policy outputs 1 channels, environment needs 2"),
-], ids=["theta_length", "vehicle_one_output"])
+    (lambda doc: doc["theta"].__setitem__(3, math.nan),
+     "parameter vector must be flat and finite"),
+    (lambda doc: doc.update(theta=[doc["theta"]]), "parameter vector must be flat and finite"),
+    (lambda doc: doc.update(theta=0.5), "parameter vector has length 1, spec (5, 8, 2) needs 66"),
+], ids=["theta_length", "vehicle_one_output", "theta_nan", "theta_nested", "theta_scalar"])
 def test_checkpoint_policy_must_fit_theta_and_env(tmp_path, capsys, edit, expected):
     _, out = train(tmp_path, GRID_YAML)
     ckpt, tasks = out / CHECKPOINT, str(out / TASKS)
@@ -554,6 +559,34 @@ def test_checkpoint_policy_must_fit_theta_and_env(tmp_path, capsys, edit, expect
             main(argv)
         assert err.value.code == 2
         assert capsys.readouterr().err == f"error: {ckpt}: {expected}\n"
+    assert not (tmp_path / "replays").exists()
+
+
+@pytest.mark.parametrize("edit, tasks_file, replayed, plotted, expected", [
+    # a 4-input policy on goal5 tasks: replay refused it, plot failed in np.matmul
+    (lambda doc: doc.update(layer_sizes=[4, 8, 2], theta=doc["theta"][:58]), None,
+     "heading10", "heading0", "task {!r} produces 5 features, policy expects 4"),
+    # cart-pole tasks on a vehicle checkpoint
+    (lambda doc: None, "pole.json", "swingup", "swingup",
+     "task {!r} is a pendulum task, environment is vehicle"),
+], ids=["four_inputs_goal5", "pendulum_tasks"])
+def test_replay_and_plot_refuse_tasks_the_policy_does_not_fit(
+        tmp_path, capsys, edit, tasks_file, replayed, plotted, expected):
+    _, out = train(tmp_path, GRID_YAML)
+    ckpt, tasks = out / CHECKPOINT, str(out / TASKS)
+    edit_checkpoint(ckpt, edit)
+    if tasks_file is not None:
+        tasks = str(tmp_path / tasks_file)
+        artifacts.write_task_list(tasks, pendulum_tasks("swingup"))
+    for argv, task_id in ((["replay", str(ckpt), "--task", replayed, "--tasks", tasks,
+                            "--output-dir", str(tmp_path / "replays")], replayed),
+                          (["plot", "--checkpoint", str(ckpt), "--tasks", tasks,
+                            "-o", str(tmp_path / "replays" / "p.svg")], plotted)):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: {expected.format(task_id)}\n"
     assert not (tmp_path / "replays").exists()
 
 

@@ -173,6 +173,50 @@ def test_negative_rich_weights_are_rejected(tmp_path):
     assert load_run_config(write(tmp_path, ok)).training.rich_weights == (1.0, 0.0, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("base, old, new, key", [
+    (VEHICLE_YAML, "  sampling_time: 0.1", "  sampling_time: .nan", "env.sampling_time"),
+    (VEHICLE_YAML, "  sampling_time: 0.1", "  sampling_time: 0.1\n  wheelbase: .nan",
+     "env.wheelbase"),
+    (VEHICLE_YAML, "  r_thresh: 5", "  r_thresh: .nan", "vvc.r_thresh"),
+    (VEHICLE_YAML, "0.7853981633974483, 0]",
+     "0.7853981633974483, 0]\n  tolerances: {d: .nan, psi: 1, v: 1}", "tasks.tolerances.d"),
+    (VEHICLE_YAML, "  sigma_max: 10", "  sigma_max: 10\n  beta: .nan", "training.beta"),
+    (VEHICLE_YAML, "  sigma_max: 10", "  sigma_max: .inf", "training.sigma_max"),
+    (VEHICLE_YAML, "  steer:", "  v_rate: [-8, .inf]\n    steer:", r"env.limits.v_rate\[1\]"),
+    (PENDULUM_YAML, "  kind: pendulum", "  kind: pendulum\n  gravity: .inf", "env.gravity"),
+    (PENDULUM_YAML, "  kind: pendulum", "  kind: pendulum\n  gravity: -.inf", "env.gravity"),
+    (VEHICLE_YAML, "seed: 7", "seed: 7\nnormalization: {dx: 0}",
+     "normalization: dx: normalization scale must be positive"),
+    (VEHICLE_YAML, "seed: 7", "seed: 7\nnormalization: {dpsi: -3.14}",
+     "normalization: dpsi: normalization scale must be positive"),
+    (PENDULUM_YAML, "seed: 1", "seed: 1\nnormalization: {dtheta_dot: 0}",
+     "normalization: dtheta_dot: normalization scale must be positive"),
+    (VEHICLE_YAML, "  sampling_time: 0.1", "  sampling_time: 0.1\n  obstacles: [[3, 1, 1, -1]]",
+     r"env: obstacles\[0\] box \(3.0, 1.0, 1.0, -1.0\) is degenerate"),
+    (VEHICLE_YAML, "  sampling_time: 0.1",
+     "  sampling_time: 0.1\n  obstacles: [[1, 1, 2, 3], [-5, -2, -3, -2]]",
+     r"env: obstacles\[1\] box \(-5.0, -2.0, -3.0, -2.0\) is degenerate"),
+], ids=["sampling_time_nan", "wheelbase_nan", "r_thresh_nan", "tolerance_nan", "beta_nan",
+        "sigma_max_inf", "v_rate_inf", "gravity_inf", "gravity_minus_inf", "norm_zero",
+        "norm_negative", "pendulum_norm_zero", "obstacle_inverted", "obstacle_flat"])
+def test_config_rejects_values_a_run_would_misread(tmp_path, base, old, new, key):
+    # each of these loaded and ran: a NaN tolerance solves nothing, a zero
+    # scale makes every feature infinite, an inverted obstacle blocks nothing
+    assert base.count(old) == 1
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(write(tmp_path, base.replace(old, new)))
+
+
+def test_checkpoint_env_dict_is_checked_like_a_config(tmp_path):
+    run = load_run_config(write(tmp_path, VEHICLE_YAML))
+    with pytest.raises(ConfigError, match="env.wheelbase: expected a finite quantity"):
+        env_from_config(dict(run.env_config, wheelbase=math.nan))
+    with pytest.raises(ConfigError, match=r"env: obstacles\[0\]"):
+        env_from_config(dict(run.env_config, obstacles=[[3, 1, 1, -1]]))
+    with pytest.raises(ConfigError, match="normalization: dy: normalization scale"):
+        env_from_config(run.env_config, {"dy": -1.0})
+
+
 def test_workers_override_wins(tmp_path):
     run = load_run_config(write(tmp_path, VEHICLE_YAML), workers=4)
     assert run.training.workers == 4

@@ -8,8 +8,9 @@ from tshc.dynamics import (ActuatorLimits, Control, PendulumParams, PendulumStat
                            VehicleParams, VehicleState, clamp_controls,
                            crash_check_arrays, intersect_interval,
                            pendulum_accelerations,
-                           pendulum_energy, rate_limited_interval, step_bicycle,
+                           pendulum_energy, step_bicycle,
                            step_pendulum, wrap_angle)
+from tshc.envs import control_intervals
 from tshc.tasks import mirror_goal
 
 LIM = ActuatorLimits()
@@ -81,13 +82,13 @@ def test_clamp_idempotent_and_admissible(raw_v, raw_d, prev_v, prev_d):
 def test_rate_interval_degenerate_collapses_toward_box():
     # previous command far above v_max: rate box entirely outside -> the
     # rate-feasible endpoint nearest the absolute box (maximal braking)
-    lo, hi = rate_limited_interval(20.0, -10.0, 10.0, -8.0 * 0.1, 5.0 * 0.1)
+    lo, hi = control_intervals(20.0, (-10.0, 10.0, -8.0 * 0.1, 5.0 * 0.1))
     assert lo == hi == pytest.approx(20.0 - 0.8)
     # the v and delta channels as the rows of one array, the second one
     # inside its box
-    lo, hi = rate_limited_interval(np.array([[20.0], [0.0]]),
-                                   np.array([[-10.0], [-0.7]]), np.array([[10.0], [0.7]]),
-                                   np.array([[-0.8], [-0.1]]), np.array([[0.5], [0.1]]))
+    lo, hi = control_intervals(np.array([[20.0], [0.0]]),
+                               (np.array([[-10.0], [-0.7]]), np.array([[10.0], [0.7]]),
+                                np.array([[-0.8], [-0.1]]), np.array([[0.5], [0.1]])))
     assert lo[0, 0] == hi[0, 0] == pytest.approx(20.0 - 0.8)
     assert (lo[1, 0], hi[1, 0]) == (-0.1, 0.1)
 

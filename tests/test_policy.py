@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tshc.dynamics import ActuatorLimits, Control, clamp_controls, intersect_interval
-from tshc.policy import (MlpSpec, affine_scale, control_bounds, control_intervals,
-                         forward_layers, init_params, param_count, unflatten)
+from tshc.envs import control_bounds, control_intervals
+from tshc.policy import (MlpSpec, affine_scale, forward_layers, init_params, param_count,
+                         unflatten)
 from tshc.trainer import candidate_theta
 
 LIM = ActuatorLimits()

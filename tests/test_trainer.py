@@ -694,6 +694,11 @@ def test_tshc_run_requires_tasks_and_matching_dims():
         tshc_run(cfg, heading_grid(10, 90), env, SPEC4)  # goal5 needs 5 inputs
     with pytest.raises(ValueError):
         tshc_run(cfg, pendulum_tasks("stabilize"), PendulumEnv(), SPEC4)
+    # a cart-pole task has the 4 features of SPEC4 and the vehicle env takes
+    # its 2 outputs, so only the task's kind shows it cannot run there
+    with pytest.raises(ValueError,
+                       match="task 'stabilize' is a pendulum task, environment is vehicle"):
+        tshc_run(cfg, pendulum_tasks("stabilize"), env, SPEC4)
 
 
 def test_tshc_run_sigma_stays_in_bounds():
