@@ -48,8 +48,11 @@ def cmd_train(args):
     ckpt_path = os.path.join(out, f"checkpoint_seed{seed}.json")
     summary_path = os.path.join(out, f"summary_seed{seed}.json")
     artifacts.write_task_list(task_path, run.task_list)
-    if os.path.exists(log_path):
-        os.unlink(log_path)
+    # a run that never finds a crash-free candidate writes no checkpoint, so
+    # an older run's must not stay behind to be replayed
+    for stale in (log_path, ckpt_path):
+        if os.path.exists(stale):
+            os.unlink(stale)
 
     cfg = run.training
     replay_meta = dump(dataclasses.replace(run.task_list[0], t_max=cfg.t_max,
@@ -154,8 +157,15 @@ def _check_fit(args, task_list, env, spec, theta):
 
 
 def _read_tasks(args, option):
+    """The ``--tasks`` list, or None without ``option``; each of the two
+    options needs the other."""
+    given = getattr(args, option.lstrip("-")) is not None
     if args.tasks is None:
-        _fail(f"{option} needs --tasks FILE")
+        if given:
+            _fail(f"{option} needs --tasks FILE")
+        return None
+    if not given:
+        _fail(f"--tasks needs {option}")
     try:
         return artifacts.read_task_list(args.tasks)
     except (OSError, ValueError) as exc:
@@ -184,15 +194,13 @@ def cmd_replay(args):
     doc, env, spec, replay = _read_checkpoint(args)
     if args.mirror:
         _check_mirror(args, env)
-    if args.task is not None:
-        task_list = _read_tasks(args, "--task")
+    task_list = _read_tasks(args, "--task")
+    if task_list is not None:
         matches = [t for t in task_list if t.id == args.task]
         if not matches:
             _fail(f"task {args.task!r} not found in {args.tasks}")
-        task = matches[0]
+        task = tasklib.mirror_task(matches[0]) if args.mirror else matches[0]
     else:
-        if args.setpoint is None:
-            _fail("need either --task or --setpoint")
         if env.kind != tasklib.VEHICLE:
             _fail("setpoint replay is defined for vehicle checkpoints")
         setpoint = _parse_setpoint(args.setpoint)
@@ -205,7 +213,7 @@ def cmd_replay(args):
         task = dataclasses.replace(replay, z_goal=goal)
 
     _check_fit(args, [task], env, spec, doc["theta"])
-    if args.task is not None:
+    if task_list is not None:
         _check_digest(args, doc, task_list)
 
     res = rollout(doc["theta"], task, env, spec, replay.t_max, replay.t_goal,
@@ -227,8 +235,8 @@ def cmd_replay(args):
 def cmd_plot(args):
     trajectories = []
     goals = []
-    if args.checkpoint is not None:
-        task_list = _read_tasks(args, "--checkpoint")
+    task_list = _read_tasks(args, "--checkpoint")
+    if task_list is not None:
         doc, env, spec, replay = _read_checkpoint(args)
         _check_fit(args, task_list, env, spec, doc["theta"])
         _check_digest(args, doc, task_list)
@@ -273,11 +281,13 @@ def build_parser():
 
     p_replay = sub.add_parser("replay", help="replay a checkpoint")
     p_replay.add_argument("checkpoint")
-    p_replay.add_argument("--task", default=None, help="task id from --tasks")
+    target = p_replay.add_mutually_exclusive_group(required=True)
+    target.add_argument("--task", default=None, help="task id from --tasks")
+    target.add_argument("--setpoint", default=None, help="x,y,psi,v")
     p_replay.add_argument("--tasks", default=None, help="task-list file")
-    p_replay.add_argument("--setpoint", default=None, help="x,y,psi,v")
     p_replay.add_argument("--mirror", action="store_true",
-                          help="serve the goal via steering mirroring")
+                          help="via steering mirroring: replay the task's x-axis "
+                               "reflection, or serve the setpoint from a reflected goal")
     p_replay.add_argument("--output-dir", default=None)
     p_replay.set_defaults(func=cmd_replay)
 

@@ -19,10 +19,11 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
 import yaml
 
 from . import tasks as tasklib
-from .dynamics import ActuatorLimits, PendulumParams, VehicleParams
+from .dynamics import ActuatorLimits, PendulumParams, VehicleParams, crash_check_arrays
 from .envs import PendulumEnv, VehicleEnv
 from .policy import MlpSpec
 from .reward import Tolerances, VvcConfig
@@ -267,6 +268,25 @@ def _build_tasks(doc, env_kind):
     return [built] if isinstance(built, tasklib.Task) else built  # freeform: one task
 
 
+def _check_vehicle_tasks(task_list, params: VehicleParams):
+    """Refuse a task whose z0 or z_goal is a crash, outside the workspace or
+    inside an obstacle: each of its lanes would crash or could never finish."""
+    xy = np.array([z[:2] for task in task_list for z in (task.z0, task.z_goal)]).T
+    crashed = np.flatnonzero(crash_check_arrays(xy, params))
+    if crashed.size:
+        i = int(crashed[0])
+        raise ConfigError(f"tasks: task {task_list[i // 2].id!r}: "
+                          f"{('z0', 'z_goal')[i % 2]} at {tuple(xy[:, i].tolist())} is "
+                          f"outside env.workspace or inside one of env.obstacles")
+
+
+def _available_cpus():
+    """The CPUs this process may run on, where the OS tells, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
     try:
         with open(path) as fh:
@@ -281,8 +301,10 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
     env, norm, env_config = _build_env(doc["env"], doc.get("vvc"),
                                        doc.get("normalization", {}))
     task_list = _build_tasks(doc["tasks"], env.kind)
+    if env.kind == tasklib.VEHICLE:
+        _check_vehicle_tasks(task_list, env.params)
     config_workers = (load(doc["workers"], int, "config.workers") if "workers" in doc
-                      else os.cpu_count() or 1)
+                      else _available_cpus())
     training = _section(doc["training"], "training", TshcConfig, _TRAINING, seed=seed,
                         workers=config_workers if workers is None else workers)
     if output_dir is None:

@@ -11,13 +11,13 @@ list.  Every method works for a batch of lanes in lockstep, and for one
 lane during replay; each row is contiguous, so a lane drops out of the
 batch with one column selection.  ``constants`` gathers what a rollout
 needs at every step once per call: goal and tolerance columns (one per
-lane, or one for all lanes of a single task), the goal's only
-representation, feature scales, control bounds and, for a constant-margin
-VVC, the control box near the goal.  A step observes the state once,
-``observe``: the vehicle's goal difference, heading wrapped, or the
-cart-pole's state itself; the goal test, the features and the control box
-with VVC all read it, and the goal test is one comparison of the (3, lanes)
-goal errors with the tolerance column.  The vehicle's control box is one
+lane, whatever the number of tasks; the goal's only representation),
+feature scales, control bounds and, for a constant-margin VVC, the control
+box near the goal.  A step observes the state once, ``observe``: the
+vehicle's goal difference, heading wrapped, or the cart-pole's state
+itself; the goal test, the features and the control box with VVC all read
+it, and the goal test is one comparison of the (3, lanes) goal errors with
+the tolerance columns.  The vehicle's control box is one
 intersection per step, ``control_intervals``, of the rate box around the
 previous controls with an absolute box: the actuator limits, or near the
 goal the VVC box clipped into them (picked per lane for a constant margin,
@@ -59,30 +59,28 @@ def control_intervals(prev, bounds):
 class RolloutConstants:
     """Per-call constants of a rollout over a task list in one environment.
 
-    ``goal`` and ``tol`` are (4, 1) and (3, 1) columns when all lanes run
-    one task and have a column per lane otherwise, the one representation
-    of the goal that every step reads; ``tol`` holds eps_d, eps_psi and
-    eps_v, the goal test's bounds on the rows of ``reward.goal_errors``.
-    ``near`` is the vehicle's absolute control box inside a constant-margin
-    VVC's ``r_thresh``, built once: (lo, hi) columns like ``goal``'s whose v
-    row is the VVC box, clipped into the actuator's v box, and whose delta
-    row is the steering limits.  ``compact`` keeps the columns of the live
+    ``goal`` and ``tol`` have a column per lane, the one representation of
+    the goal that every step reads; ``tol`` holds eps_d, eps_psi and eps_v,
+    the goal test's bounds on the rows of ``reward.goal_errors``.  ``near``
+    is the vehicle's absolute control box inside a constant-margin VVC's
+    ``r_thresh``, built once: (lo, hi) columns like ``goal``'s whose v row
+    is the VVC box, clipped into the actuator's v box, and whose delta row
+    is the steering limits.  ``compact`` keeps the columns of the live
     lanes.
     """
 
     recipe: str               # the feature recipe all tasks share
-    goal: np.ndarray          # (4, 1 or lanes) goal columns
-    tol: np.ndarray           # (3, 1 or lanes) eps_d, eps_psi and eps_v columns
+    goal: np.ndarray          # (4, lanes) goal columns
+    tol: np.ndarray           # (3, lanes) eps_d, eps_psi and eps_v columns
     scale: np.ndarray         # (4, 1) feature normalization column
     bounds: tuple = ()        # vehicle: control_bounds columns of v and delta
-    near: tuple = ()          # vehicle, constant-margin VVC: (2, 1 or lanes) box
+    near: tuple = ()          # vehicle, constant-margin VVC: (2, lanes) box
 
     def compact(self, keep):
         """The constants of the lanes ``keep`` (indices into the live lanes)."""
-        if self.goal.shape[1] == 1:
-            return self  # one column serves any subset of the lanes
-        return replace(self, goal=self.goal[:, keep], tol=self.tol[:, keep],
-                       near=tuple(edge[:, keep] for edge in self.near))
+        return RolloutConstants(self.recipe, self.goal[:, keep], self.tol[:, keep],
+                                self.scale, self.bounds,
+                                tuple(edge[:, keep] for edge in self.near))
 
 
 def _constants(task_list, n, scale, bounds=()):
@@ -92,9 +90,8 @@ def _constants(task_list, n, scale, bounds=()):
                          f"got {sorted(recipes)}")
     goal = np.array([task.z_goal for task in task_list]).T
     tol = np.array([(t.tol.eps_d, t.tol.eps_psi, t.tol.eps_v) for t in task_list]).T
-    if len(task_list) > 1:
-        goal, tol = np.repeat(goal, n, axis=1), np.repeat(tol, n, axis=1)
-    return RolloutConstants(recipes.pop(), goal, tol, scale, bounds)
+    return RolloutConstants(recipes.pop(), np.repeat(goal, n, axis=1),
+                            np.repeat(tol, n, axis=1), scale, bounds)
 
 
 # selects the v row of a (2, lanes) control box: a VVC narrows it only
@@ -120,9 +117,6 @@ class VehicleEnv:
         self.limits = limits
         self.vvc = vvc
         self.norm = norm
-
-    def feature_dim(self, task):
-        return tasks.RECIPE_DIMS[task.feature_recipe]
 
     def constants(self, task_list, n):
         """Constants of a rollout of n candidates on each task of the list."""
@@ -159,8 +153,7 @@ class VehicleEnv:
 
     def apply_arrays(self, S, raw, c, obs):
         """Next state, applied controls (its v and delta rows), step length
-        and crash-or-non-finite flag of one step from ``S``, whose
-        observation is ``obs``."""
+        and crash flag of one step from ``S``, whose observation is ``obs``."""
         lo, hi, step_lo, step_hi = c.bounds
         if self.vvc.mode == reward.VVC_CONSTANT:
             far = np.hypot(obs[0], obs[1]) >= self.vvc.arrays.r_thresh
@@ -176,9 +169,8 @@ class VehicleEnv:
         dynamics.step_bicycle_arrays(S[:3], controls[0], controls[1], self.params,
                                      out=nxt[:3])
         d = nxt[:2] - S[:2]
-        crash = dynamics.crash_check_arrays(nxt[:2], self.params)
         return (nxt, controls, np.hypot(d[0], d[1]),
-                crash | ~np.isfinite(nxt[:3]).all(0))
+                dynamics.crash_check_arrays(nxt[:2], self.params))
 
 
 class PendulumEnv:
@@ -190,9 +182,6 @@ class PendulumEnv:
                  norm: tasks.PendulumNorm = tasks.PendulumNorm()):
         self.params = params
         self.norm = norm
-
-    def feature_dim(self, task):
-        return tasks.RECIPE_DIMS[task.feature_recipe]
 
     def constants(self, task_list, n):
         """Constants of a rollout of n candidates on each task of the list."""
@@ -214,10 +203,8 @@ class PendulumEnv:
 
     def apply_arrays(self, S, raw, c, obs):
         """Next state, applied force as a (1, lanes) row, step length of the
-        cart and crash-or-non-finite flag of one step."""
+        cart and crash flag of one step."""
         a = self.params.arrays
         force = affine_scale(raw[:, 0], a.f_min, a.f_max)
         nxt = dynamics.step_pendulum_arrays(S, force, self.params)
-        step = np.abs(nxt[0] - S[0])
-        crash = np.abs(nxt[0]) > a.p_limit
-        return nxt, force[None], step, crash | ~np.isfinite(nxt).all(0)
+        return nxt, force[None], np.abs(nxt[0] - S[0]), np.abs(nxt[0]) > a.p_limit

@@ -6,8 +6,9 @@ All candidates of one iteration are evaluated on all tasks in one lockstep
 rollout with batched numpy: its lanes are (task, candidate) pairs in
 task-major order, the state is one (state_dim, lanes) matrix (see
 ``envs``), and the per-lane goal, tolerance, success-window and horizon
-columns are built once per rollout.  A lane that reaches its goal,
-crashes, goes non-finite or reaches its task's horizon is dropped from the
+columns are built once per rollout, in the same layout for one task as
+for many.  A lane that reaches its goal, crashes, goes non-finite (which
+retires it as crashed) or reaches its task's horizon is dropped from the
 working arrays and columns at once, so later steps compute only the live
 lanes; its step count, path length and reward are written when it leaves.
 The working arrays hold the live lanes in slot order, which a retirement
@@ -150,12 +151,11 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     consts = env.constants(task_list, n)
     S = env.init_arrays(task_list, n)
     terminal = np.empty(S.shape)
-    features = np.empty((lanes, env.feature_dim(task_list[0])))
+    features = np.empty((lanes, tasklib.RECIPE_DIMS[task_list[0].feature_recipe]))
     if rich_weights is not None:
         weights = np.asarray(rich_weights, dtype=float)[:, None]
-    # success windows per lane; one window shared by all tasks stays an int
-    windows = [task.t_goal or t_goal for task in task_list]
-    goal_run = windows[0] if len(set(windows)) == 1 else np.repeat(windows, n)
+    # success window per lane
+    goal_run = np.repeat([task.t_goal or t_goal for task in task_list], n)
     # a lane times out at its task's horizon; the loop runs to the longest,
     # and a shorter one retires its lanes at that step, a check made only on
     # the steps in ``stops`` (whose last, the longest, the loop never reaches)
@@ -224,8 +224,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
                     b[holes] = b[movers]
             layers = [(w[:m], b[:m]) for w, b in layers]
         consts = consts.compact(keep)
-        if isinstance(goal_run, np.ndarray):
-            goal_run = goal_run[keep]
+        goal_run = goal_run[keep]
         last_raw = last_raw[keep]
         run = run[keep]
         path = path[keep]
@@ -255,6 +254,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         if mirror:
             raw = tasklib.mirror_control(raw)
         S_next, controls, step, crash = env.apply_arrays(S, raw, consts, obs)
+        crash |= ~np.isfinite(S_next).all(0)  # a NaN control makes the pose NaN
         path -= step  # P is minus the distance travelled
         if record:
             steps_rec[t, :k, :live.size] = S[:k]
@@ -408,8 +408,9 @@ def check_fit(task_list, env, spec: MlpSpec, theta=None):
         if task.env_kind != env.kind:
             raise ValueError(f"task {task.id!r} is a {task.env_kind} task, "
                              f"environment is {env.kind}")
-        if env.feature_dim(task) != spec.input_dim:
-            raise ValueError(f"task {task.id!r} produces {env.feature_dim(task)} features, "
+        dims = tasklib.RECIPE_DIMS[task.feature_recipe]
+        if dims != spec.input_dim:
+            raise ValueError(f"task {task.id!r} produces {dims} features, "
                              f"policy expects {spec.input_dim}")
     if theta is not None:
         unflatten(np.atleast_1d(theta), spec)  # raises on a length that does not fit

@@ -4,6 +4,7 @@ import math
 import textwrap
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 from tshc import artifacts, cli
@@ -74,6 +75,28 @@ def test_train_unsolved_run_exits_one(tmp_path):
     assert summary["restarts_with_full_solution"] == 0
 
 
+# the car cannot go slower than 5 m/s in a 2 m box: every candidate crashes
+CRASH_YAML = TRIVIAL_YAML.replace(
+    "kind: vehicle",
+    "kind: vehicle\n  sampling_time: 0.1\n  workspace: [-1, -1, 1, 1]\n  limits: {v: [5, 10]}"
+).replace("z_goal: [0, 0, 0, 0]", "z_goal: [0.5, 0, 0, 0]").replace("t_max: 10", "t_max: 20")
+
+
+def test_train_without_a_crash_free_candidate_removes_the_old_checkpoint(tmp_path):
+    # a run that writes no checkpoint must not leave an older run's one, of
+    # the same seed and directory, for replay to serve
+    code, out = train(tmp_path, TRIVIAL_YAML)
+    assert code == 0 and (out / "checkpoint_seed3.json").exists()
+    code, out = train(tmp_path, CRASH_YAML)
+    assert code == 1
+    assert artifacts.read_summary(out / "summary_seed3.json")["n_star"] == 0
+    assert not (out / "checkpoint_seed3.json").exists()
+    with pytest.raises(SystemExit) as err:
+        main(["replay", str(out / "checkpoint_seed3.json"), "--setpoint", "0,0,0,0",
+              "--output-dir", str(out)])
+    assert err.value.code == 2
+
+
 def test_train_config_error_exits_two(tmp_path):
     path = write_config(tmp_path, TRIVIAL_YAML.replace("seed: 3", "seed: nope"))
     with pytest.raises(SystemExit) as err:
@@ -122,10 +145,15 @@ training:
     (TRIVIAL_YAML.replace("t_max: 10", "t_max: 10\n  refine: 'false'"), "training.refine"),
     (TRIVIAL_YAML.replace("n_candidates: 3", "n_candidates: 3.9"), "training.n_candidates"),
     (TRIVIAL_YAML.replace("seed: 3", "seed: 3\nworkers: x"), "config.workers"),
+    (GRID_YAML.replace("kind: vehicle", "kind: vehicle\n  obstacles: [[-1, -1, 1, 1]]"),
+     "tasks: task 'heading0'"),
+    (TRIVIAL_YAML.replace("kind: vehicle", "kind: vehicle\n  workspace: [-1, -1, 1, 1]")
+     .replace("z_goal: [0, 0, 0, 0]", "z_goal: [0, 2, 0, 0]"), "tasks: task 'freeform'"),
 ], ids=["cart_mass", "pendulum_kind", "t_goal", "task_t_goal_zero", "tolerance",
         "feature_recipe", "grid_feature_recipe", "workspace_entry", "degenerate_workspace",
         "obstacles_scalar", "obstacle_entry", "limits", "refine_string",
-        "fractional_candidates", "workers"])
+        "fractional_candidates", "workers", "grid_inside_obstacle",
+        "goal_outside_workspace"])
 def test_train_invalid_config_value_exits_two(tmp_path, capsys, text, key):
     # a value the config builders reject is an error line that names its
     # key (the section, when the section's own check rejects it) and exit
@@ -428,6 +456,49 @@ def test_plot_checkpoint_draws_each_task_replay(tmp_path, monkeypatch):
                      "--output-dir", str(out)]) == 0
         _, rows = artifacts.read_trajectory_csv(out / f"replay_{label}_seed3.csv")
         assert xs == [r[1] for r in rows] and ys == [r[2] for r in rows]
+
+
+def test_replay_task_mirror_replays_the_reflected_task(tmp_path):
+    # --mirror replays the task's x-axis reflection into its own files, and
+    # its trajectory is the reflection of the plain replay's
+    _, out = train(tmp_path, GRID_YAML)
+    argv = ["replay", str(out / "checkpoint_seed3.json"), "--task", "heading20",
+            "--tasks", str(out / "tasks_seed3.json"), "--output-dir", str(out)]
+    assert main(argv) == 0 and main(argv + ["--mirror"]) == 0
+    _, plain = artifacts.read_trajectory_csv(out / "replay_heading20_seed3.csv")
+    _, mirrored = artifacts.read_trajectory_csv(out / "replay_heading20-mirror_seed3.csv")
+    meta = artifacts.read_summary(out / "replay_heading20-mirror_seed3.json")
+    assert meta["task"] == "heading20~mirror" and meta["mirror"] is True
+    assert artifacts.read_summary(out / "replay_heading20_seed3.json")["mirror"] is False
+    plain, mirrored = np.array(plain), np.array(mirrored)
+    assert plain.shape == mirrored.shape and np.abs(plain[:, 2:4]).max() > 0.0
+    flip = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])  # t, x, y, psi, v, delta
+    assert np.abs(mirrored - plain * flip).max() < 1e-9
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["replay", "{ckpt}", "--task", "freeform", "--tasks", "{tasks}",
+      "--setpoint", "0,0,0,0", "--output-dir", "{out}"], "not allowed with argument"),
+    (["replay", "{ckpt}", "--setpoint", "0,0,0,0", "--tasks", "{missing}",
+      "--output-dir", "{out}"], "error: --tasks needs --task"),
+    (["plot", "{csv}", "--tasks", "{missing}", "-o", "{svg}"],
+     "error: --tasks needs --checkpoint"),
+], ids=["replay_task_and_setpoint", "replay_setpoint_tasks", "plot_csv_tasks"])
+def test_replay_and_plot_refuse_options_they_would_ignore(tmp_path, capsys, argv, message):
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    replay = ["replay", str(out / "checkpoint_seed3.json"), "--output-dir", str(out)]
+    assert main(replay + ["--task", "freeform", "--tasks", str(out / "tasks_seed3.json")]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    paths = dict(ckpt=out / "checkpoint_seed3.json", tasks=out / "tasks_seed3.json",
+                 missing=tmp_path / "missing.json", csv=out / "replay_freeform_seed3.csv",
+                 svg=tmp_path / "p.svg", out=out)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main([a.format(**paths) for a in argv])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert not paths["svg"].exists()
 
 
 MIRROR_YAML = TRIVIAL_YAML.replace("z_goal: [0, 0, 0, 0]", "z_goal: [0, 0.1, 0, 0]")

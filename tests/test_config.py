@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import textwrap
 from pathlib import Path
@@ -220,6 +221,17 @@ def test_checkpoint_env_dict_is_checked_like_a_config(tmp_path):
 def test_workers_override_wins(tmp_path):
     run = load_run_config(write(tmp_path, VEHICLE_YAML), workers=4)
     assert run.training.workers == 4
+
+
+def test_workers_default_counts_the_cpus_the_process_may_use(tmp_path, monkeypatch):
+    # a process pinned to one of eight CPUs gets one worker, not eight; an
+    # OS that cannot tell the affinity falls back to all CPUs
+    path = write(tmp_path, VEHICLE_YAML)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert load_run_config(path).training.workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert load_run_config(path).training.workers == 8
 
 
 def test_output_dir_defaults(tmp_path, monkeypatch):

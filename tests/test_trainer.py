@@ -9,7 +9,7 @@ from tshc.dynamics import PendulumParams, VehicleParams
 from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.policy import MlpSpec, init_params, param_count
 from tshc.reward import VVC_CONSTANT, VVC_SPATIAL, Tolerances, VvcConfig
-from tshc.tasks import (GOAL5, PENDULUM, PENDULUM4, Task, freeform_task,
+from tshc.tasks import (GOAL5, PENDULUM, PENDULUM4, RECIPE_DIMS, Task, freeform_task,
                         heading_grid, mirror_task, pendulum_tasks)
 from tshc.trainer import (BestSolution, CandidateScore, TshcConfig, adapt_sigma,
                           batch_rollout, candidate_theta, draw_sigma,
@@ -153,7 +153,7 @@ def test_batch_rollout_compaction_is_lane_exact():
     kinds = set()
     mixed = 0
     for env, task, t_max in cases:
-        spec = MlpSpec((env.feature_dim(task), 6, env.control_dim))
+        spec = MlpSpec((RECIPE_DIMS[task.feature_recipe], 6, env.control_dim))
         thetas = rng.normal(0.0, 1.0, (16, param_count(spec))) * scales
         for rich in (None, (1.0, 2.0, 0.5, 0.1)):
             for t_goal in (1, 3):
@@ -298,9 +298,6 @@ class ScriptedGoalEnv:
     def __init__(self, flags):
         self.flags = flags
 
-    def feature_dim(self, task):
-        return 1
-
     def constants(self, task_list, n):
         return self  # no per-lane columns
 
@@ -339,6 +336,49 @@ def test_batch_rollout_goal_run_resets():
         assert (s[0], n_steps[0]) == (success, steps), flags
         # the reward counts every step tested, the final goal step included
         assert j[0] == -(steps + success)
+
+
+class NonFiniteLaneEnv(ScriptedGoalEnv):
+    """Scripted env whose state rows are the step count and the lane index;
+    lane ``lane`` goes NaN on step ``at``, and no lane reaches its goal."""
+
+    def __init__(self, lane, at):
+        super().__init__(())
+        self.lane, self.at = lane, at
+
+    def init_arrays(self, task_list, n):
+        lanes = len(task_list) * n
+        return np.array([np.zeros(lanes), np.arange(lanes, dtype=float)])
+
+    def goal_mask(self, obs, c):
+        return np.zeros(obs.shape[1], dtype=bool)
+
+    def apply_arrays(self, S, raw, c, obs):
+        nxt = S + [[1.0], [0.0]]
+        nxt[0, (S[1] == self.lane) & (nxt[0] == self.at)] = np.nan
+        return nxt, raw.T, np.ones(S.shape[1]), np.zeros(S.shape[1], dtype=bool)
+
+
+def test_batch_rollout_retires_a_non_finite_lane_as_crashed():
+    # the rollout, not the env, flags a non-finite state: the lane retires
+    # crashed at the step its state went NaN, and the other lanes run on
+    task = freeform_task((0, 0, 0, 0), (0, 0, 0, 0))
+    s, p, _, crashed, steps, _, end = batch_rollout(
+        np.zeros((2, 2)), MlpSpec((1, 1)), [task, task], NonFiniteLaneEnv(2, 4), 9, 1)
+    assert crashed.tolist() == [False, False, True, False]
+    assert steps.tolist() == [9, 9, 4, 9]
+    assert s.tolist() == [0] * 4 and p.tolist() == [-9.0, -9.0, -4.0, -9.0]
+    assert np.isnan(end[0, 2]) and np.isfinite(np.delete(end, 2, axis=1)).all()
+    # with the real plants a NaN parameter vector makes a NaN control, whose
+    # pose is NaN after the first step
+    for env, task in [(VehicleEnv(), freeform_task((0, 0, 0, 0), (5, 0, 0, 0))),
+                      (PendulumEnv(), pendulum_tasks("swingup")[0])]:
+        spec = MlpSpec((RECIPE_DIMS[task.feature_recipe], 3, env.control_dim))
+        thetas = np.zeros((2, param_count(spec)))
+        thetas[1, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            _, _, _, crashed, steps, _, _ = batch_rollout(thetas, spec, [task], env, 5, 1)
+        assert crashed.tolist() == [False, True] and steps.tolist() == [5, 1], env.kind
 
 
 def _fold_cases():
@@ -381,7 +421,7 @@ def test_folded_lanes_match_single_task_rollouts(case):
     # alone on one lane, bit for bit: the five outputs, the terminal column
     # and the recorded trajectory
     _, env, task_list, t_max, mirrors = next(c for c in _fold_cases() if c[0] == case)
-    spec = MlpSpec((env.feature_dim(task_list[0]), 6, env.control_dim))
+    spec = MlpSpec((RECIPE_DIMS[task_list[0].feature_recipe], 6, env.control_dim))
     rng = np.random.default_rng(5)
     n = 8
     thetas = rng.normal(0.0, 1.0, (n, param_count(spec))) * np.geomspace(0.01, 3.0, n)[:, None]
@@ -865,7 +905,7 @@ def test_batch_rollout_golden_bits(case):
     h = hashlib.sha256()
     kinds = set()
     for task in task_list:
-        spec = MlpSpec((env.feature_dim(task), 6, env.control_dim))
+        spec = MlpSpec((RECIPE_DIMS[task.feature_recipe], 6, env.control_dim))
         thetas = (rng.normal(0.0, 1.0, (12, param_count(spec)))
                   * np.geomspace(0.01, 3.0, 12)[:, None])
         for rich_weights in riches:
