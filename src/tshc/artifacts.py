@@ -10,6 +10,7 @@ leave a partial artifact behind.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -98,7 +99,7 @@ def read_checkpoint(path):
     missing = [key for key in CHECKPOINT_KEYS if key not in doc]
     if missing:
         raise ValueError(f"{path}: checkpoint has no {', '.join(missing)}")
-    doc["theta"] = np.asarray(doc["theta"], dtype=float)
+    doc["theta"] = np.array(load(doc["theta"], ["plain"], f"{path}: theta"))
     doc["goal_tuples"] = list(load(doc["goal_tuples"], [GOAL_TUPLE], f"{path}: goal_tuples"))
     return doc
 
@@ -124,8 +125,8 @@ def write_trajectory_csv(path, columns, rows):
 
 def read_trajectory_csv(path):
     """(columns, rows) of a trajectory CSV: a header of at least t, x and y,
-    then one row per step, an int step and floats; a file that is not one
-    raises a ``ValueError`` that names it."""
+    then one row per step, an int step and finite floats; a file that is
+    not one raises a ``ValueError`` that names it."""
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines:
@@ -143,7 +144,10 @@ def read_trajectory_csv(path):
             raise ValueError(f"{path}: line {i} has {len(parts)} values, "
                              f"expected {len(columns)}")
         try:
-            rows.append((int(parts[0]),) + tuple(float(p) for p in parts[1:]))
+            values = tuple(float(p) for p in parts[1:])
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"expected finite values, got {line!r}")
+            rows.append((int(parts[0]),) + values)
         except ValueError as exc:
             raise ValueError(f"{path}: line {i}: {exc}") from None
     return columns, rows

@@ -15,7 +15,6 @@ file name embeds the run seed.
 
 import argparse
 import dataclasses
-import math
 import os
 import re
 import sys
@@ -24,7 +23,7 @@ import time
 from . import artifacts, plotting, trainer
 from . import tasks as tasklib
 from .config import (REPLAY, ConfigError, DEFAULT_OUTPUT_ENV_VAR, VEHICLE_STATE, dump,
-                     env_from_config, load, load_run_config, parse_quantity)
+                     env_from_config, load, load_run_config)
 from .policy import MlpSpec
 from .trainer import rollout, tshc_run
 
@@ -66,14 +65,14 @@ def cmd_train(args):
               f"{' crash' if rec.crashed else ''}"
               f"{' *' if rec.improved else ''}", file=sys.stderr)
 
-    def on_improved(best):
+    def save(best, goal_tuples=()):
         artifacts.write_checkpoint(ckpt_path, run.spec, best.theta, run.norm,
                                    run.task_list, run.env_config, seed,
-                                   best=best, replay=replay_meta)
+                                   best=best, goal_tuples=goal_tuples, replay=replay_meta)
 
     t_start = time.monotonic()
     best, history = tshc_run(cfg, run.task_list, run.env, run.spec,
-                             on_iteration=on_iteration, on_improved=on_improved)
+                             on_iteration=on_iteration, on_improved=save)
     wall_time = time.monotonic() - t_start
 
     goal_tuples = []
@@ -86,10 +85,7 @@ def cmd_train(args):
                 goal_tuples.append(tasklib.GoalTuple(res.terminal, task.z_goal,
                                                      task.id))
                 solved_ids.append(task.id)
-        artifacts.write_checkpoint(ckpt_path, run.spec, best.theta, run.norm,
-                                   run.task_list, run.env_config, seed,
-                                   best=best, goal_tuples=goal_tuples,
-                                   replay=replay_meta)
+        save(best, goal_tuples)
 
     solved_restarts = sorted({r.restart for r in history
                               if r.n_solved == len(run.task_list)})
@@ -110,18 +106,12 @@ def cmd_train(args):
 
 
 def _parse_setpoint(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        _fail(f"--setpoint expects 'x,y,psi,v', got {text!r}")
+    """x,y,psi,v: bare numbers in SI, or '<number> <unit>' quantities."""
     try:
-        setpoint = tuple(parse_quantity(p.strip() if " " in p.strip() else float(p), k,
-                                        "setpoint")
-                         for p, k in zip(parts, VEHICLE_STATE))
-    except (ConfigError, ValueError) as exc:
-        _fail(f"--setpoint: {exc}")
-    if not all(map(math.isfinite, setpoint)):
-        _fail(f"--setpoint: expected finite values, got {text!r}")
-    return setpoint
+        values = [p.strip() if " " in p.strip() else float(p) for p in text.split(",")]
+        return load(values, VEHICLE_STATE, "--setpoint")
+    except ValueError as exc:  # ConfigError included
+        _fail(exc if isinstance(exc, ConfigError) else f"--setpoint: {exc}")
 
 
 def _slug(text):

@@ -287,7 +287,17 @@ def _available_cpus():
     return os.cpu_count() or 1
 
 
+def _at_least(raw, low, path):
+    """The int ``raw``, which must be at least ``low``."""
+    value = load(raw, int, path)
+    if value < low:
+        raise ConfigError(f"{path}: expected an int >= {low}, got {value!r}")
+    return value
+
+
 def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
+    """The run of the config file ``path``; ``workers`` and ``output_dir``,
+    the ``--workers`` and ``--output-dir`` options, override its keys."""
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
@@ -296,21 +306,24 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
     _check_keys(doc, {"seed", "output_dir", "policy", "env", "vvc",
                       "normalization", "tasks", "training", "workers"},
                 {"seed", "policy", "env", "tasks", "training"}, "config")
-    seed = load(doc["seed"], int, "config.seed")
+    seed = _at_least(doc["seed"], 0, "config.seed")  # numpy seeds are non-negative
     spec = _section(doc["policy"], "policy", MlpSpec, _POLICY)
     env, norm, env_config = _build_env(doc["env"], doc.get("vvc"),
                                        doc.get("normalization", {}))
     task_list = _build_tasks(doc["tasks"], env.kind)
     if env.kind == tasklib.VEHICLE:
         _check_vehicle_tasks(task_list, env.params)
-    config_workers = (load(doc["workers"], int, "config.workers") if "workers" in doc
+    config_workers = (_at_least(doc["workers"], 1, "config.workers") if "workers" in doc
                       else _available_cpus())
+    workers = config_workers if workers is None else _at_least(workers, 1, "--workers")
     training = _section(doc["training"], "training", TshcConfig, _TRAINING, seed=seed,
-                        workers=config_workers if workers is None else workers)
+                        workers=workers)
+    config_dir = doc.get("output_dir")
+    if config_dir is not None:
+        load(config_dir, str, "config.output_dir")
     if output_dir is None:
-        output_dir = doc.get("output_dir") or os.environ.get(
-            DEFAULT_OUTPUT_ENV_VAR, "runs")
-    return RunConfig(seed=seed, output_dir=str(output_dir), spec=spec, env=env,
+        output_dir = config_dir or os.environ.get(DEFAULT_OUTPUT_ENV_VAR, "runs")
+    return RunConfig(seed=seed, output_dir=output_dir, spec=spec, env=env,
                      norm=norm, task_list=task_list, training=training,
                      env_config=env_config)
 

@@ -18,7 +18,12 @@ is independent, so neither folding tasks, the slot order, dropping lanes
 nor splitting the fan-out across worker processes changes a bit: results
 are identical for any batch size, task grouping and worker count.  Candidate
 noise is derived from a counter-based sub-seed (seed, restart, iteration,
-candidate), which makes runs reproducible for any worker count.
+candidate), which makes runs reproducible for any worker count.  The loop
+around the rollouts makes each decision once: one contiguous chunk per
+worker, split once per run, and every fan-out runs that job list through
+the pool or, with one worker, in process; σ is drawn at a restart's first
+iteration and, for random-per-iter, at every one; without ``refine`` the
+first full solution ends the run.
 """
 
 import time
@@ -294,19 +299,14 @@ def evaluate_batch(thetas, task_list, env, spec, t_max, t_goal,
     with the ``CandidateScore`` columns n_solved, pathlength, reward and
     crashed (0 or 1, set if the candidate crashed on any task).
 
-    All tasks run in one folded rollout; each task's lanes are added in
-    task order, as a loop over the tasks would add them."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    n = thetas.shape[0]
+    All tasks run in one folded rollout; a cumulative sum adds each task's
+    lanes in task order, as a loop over the tasks would (a numpy ``sum``
+    may add them pairwise)."""
     s, p, j, c, _, _, _ = batch_rollout(thetas, spec, task_list, env, t_max, t_goal,
                                         rich_weights=rich_weights)
-    scores = np.zeros((n, 4))
-    for lo in range(0, len(task_list) * n, n):
-        lanes = slice(lo, lo + n)
-        scores[:, 0] += s[lanes]
-        scores[:, 1] += p[lanes]
-        scores[:, 2] += j[lanes]
-        scores[:, 3] = np.logical_or(scores[:, 3], c[lanes])
+    lanes = np.stack([s, p, j, c], axis=1).reshape(len(task_list), -1, 4)
+    scores = np.cumsum(lanes, axis=0)[-1]
+    scores[:, 3] = scores[:, 3] > 0  # crashed on any task
     return scores
 
 
@@ -399,8 +399,10 @@ def draw_sigma(mode, rng, sigma_min, sigma_max):
 
 
 def check_fit(task_list, env, spec: MlpSpec, theta=None):
-    """Raise ``ValueError`` unless a policy of ``spec``, and the flat finite
-    ``theta`` if given, fits ``env`` and every task of ``task_list``."""
+    """Raise ``ValueError`` unless ``task_list`` has tasks and a policy of
+    ``spec``, and the flat ``theta`` if given, fits ``env`` and them."""
+    if not task_list:
+        raise ValueError("at least one task is required")
     if spec.output_dim != env.control_dim:
         raise ValueError(f"policy outputs {spec.output_dim} channels, "
                          f"environment needs {env.control_dim}")
@@ -413,39 +415,33 @@ def check_fit(task_list, env, spec: MlpSpec, theta=None):
             raise ValueError(f"task {task.id!r} produces {dims} features, "
                              f"policy expects {spec.input_dim}")
     if theta is not None:
-        unflatten(np.atleast_1d(theta), spec)  # raises on a length that does not fit
-        if np.ndim(theta) != 1 or not np.isfinite(theta).all():
-            raise ValueError("parameter vector must be flat and finite")
+        unflatten(theta, spec)  # raises on a length that does not fit
 
 
 def tshc_run(cfg: TshcConfig, task_list, env, policy_spec: MlpSpec,
              on_iteration=None, on_improved=None):
     """Full training run; returns (BestSolution, list of IterationRecord)."""
-    if not task_list:
-        raise ValueError("at least one training task is required")
     check_fit(task_list, env, policy_spec)
     n_tasks = len(task_list)
     best = BestSolution()
     history = []
-    # a fan-out makes at most one chunk per candidate: fork no idle workers
+    # at most one chunk per candidate: no idle worker and no empty chunk
     processes = min(cfg.workers, cfg.n_candidates)
+    bounds = np.linspace(0, cfg.n_candidates, processes + 1, dtype=int)
     pool = get_context("fork").Pool(processes) if processes > 1 else None
+    per_iter = cfg.sigma_mode == SIGMA_RANDOM_ITER
     t0 = time.monotonic()
     try:
         for restart in range(1, cfg.n_restarts + 1):
             theta = init_params(policy_spec,
                                 np.random.default_rng(_subseed(cfg.seed, _SEED_INIT, restart)))
-            sigma = draw_sigma(cfg.sigma_mode,
-                               np.random.default_rng(_subseed(cfg.seed, _SEED_SIGMA, restart)),
-                               cfg.sigma_min, cfg.sigma_max)
             n_old = 0
             for iteration in range(1, cfg.n_iter_max + 1):
-                if cfg.sigma_mode == SIGMA_RANDOM_ITER:
-                    sigma = draw_sigma(
-                        cfg.sigma_mode,
-                        np.random.default_rng(_subseed(cfg.seed, _SEED_SIGMA, restart, iteration)),
-                        cfg.sigma_min, cfg.sigma_max)
-                scores = _fan_out(pool, cfg, theta, sigma, restart, iteration,
+                if iteration == 1 or per_iter:
+                    key = (restart, iteration) if per_iter else (restart,)
+                    rng = np.random.default_rng(_subseed(cfg.seed, _SEED_SIGMA, *key))
+                    sigma = draw_sigma(cfg.sigma_mode, rng, cfg.sigma_min, cfg.sigma_max)
+                scores = _fan_out(pool, bounds, cfg, theta, sigma, restart, iteration,
                                   task_list, env, policy_spec)
                 prev_best = best
                 i_star, best, n_star = select_best(scores, best, n_tasks)
@@ -469,9 +465,7 @@ def tshc_run(cfg: TshcConfig, task_list, env, policy_spec: MlpSpec,
                                         cfg.sigma_min, cfg.sigma_max)
                 n_old = n_star
                 if not cfg.refine and n_star == n_tasks:
-                    break  # no refinement step
-            if not cfg.refine and best.n_solved == n_tasks:
-                break  # terminate on the first full solution, no extra restart
+                    return best, history  # the first full solution ends the run
     finally:
         if pool is not None:
             pool.close()
@@ -479,13 +473,10 @@ def tshc_run(cfg: TshcConfig, task_list, env, policy_spec: MlpSpec,
     return best, history
 
 
-def _fan_out(pool, cfg, theta, sigma, restart, iteration, task_list, env, spec):
-    args = (theta, sigma, cfg.seed, restart, iteration)
-    static = (task_list, env, spec, cfg.t_max, cfg.t_goal, cfg.rich_weights)
-    n = cfg.n_candidates
-    if pool is None:
-        return _eval_chunk(*args, 0, n, *static)
-    bounds = np.linspace(0, n, min(cfg.workers, n) + 1, dtype=int)
-    jobs = [args + (int(lo), int(hi)) + static
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    return np.concatenate(pool.starmap(_eval_chunk, jobs))
+def _fan_out(pool, bounds, cfg, theta, sigma, restart, iteration, task_list, env, spec):
+    # one job per chunk [lo, hi) of ``bounds``; without a pool, one chunk
+    jobs = [(theta, sigma, cfg.seed, restart, iteration, int(lo), int(hi),
+             task_list, env, spec, cfg.t_max, cfg.t_goal, cfg.rich_weights)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    chunks = [_eval_chunk(*jobs[0])] if pool is None else pool.starmap(_eval_chunk, jobs)
+    return np.concatenate(chunks)

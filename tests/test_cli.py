@@ -145,6 +145,11 @@ training:
     (TRIVIAL_YAML.replace("t_max: 10", "t_max: 10\n  refine: 'false'"), "training.refine"),
     (TRIVIAL_YAML.replace("n_candidates: 3", "n_candidates: 3.9"), "training.n_candidates"),
     (TRIVIAL_YAML.replace("seed: 3", "seed: 3\nworkers: x"), "config.workers"),
+    (TRIVIAL_YAML.replace("seed: 3", "seed: 3\nworkers: 0"), "config.workers"),
+    (TRIVIAL_YAML.replace("seed: 3", "seed: -1"), "config.seed"),
+    (TRIVIAL_YAML.replace("seed: 3", "seed: 3\noutput_dir: [1, 2]"), "config.output_dir"),
+    (TRIVIAL_YAML.replace("seed: 3", "seed: 3\noutput_dir: 5"), "config.output_dir"),
+    (TRIVIAL_YAML.replace("seed: 3", "seed: 3\noutput_dir: {a: 1}"), "config.output_dir"),
     (GRID_YAML.replace("kind: vehicle", "kind: vehicle\n  obstacles: [[-1, -1, 1, 1]]"),
      "tasks: task 'heading0'"),
     (TRIVIAL_YAML.replace("kind: vehicle", "kind: vehicle\n  workspace: [-1, -1, 1, 1]")
@@ -152,7 +157,8 @@ training:
 ], ids=["cart_mass", "pendulum_kind", "t_goal", "task_t_goal_zero", "tolerance",
         "feature_recipe", "grid_feature_recipe", "workspace_entry", "degenerate_workspace",
         "obstacles_scalar", "obstacle_entry", "limits", "refine_string",
-        "fractional_candidates", "workers", "grid_inside_obstacle",
+        "fractional_candidates", "workers", "workers_zero", "negative_seed",
+        "output_dir_list", "output_dir_int", "output_dir_mapping", "grid_inside_obstacle",
         "goal_outside_workspace"])
 def test_train_invalid_config_value_exits_two(tmp_path, capsys, text, key):
     # a value the config builders reject is an error line that names its
@@ -163,6 +169,15 @@ def test_train_invalid_config_value_exits_two(tmp_path, capsys, text, key):
         main(["train", path, "--output-dir", str(tmp_path / "o"), "--workers", "1"])
     assert err.value.code == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_workers_option_below_one_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, TRIVIAL_YAML)
+    with pytest.raises(SystemExit) as err:
+        main(["train", path, "--output-dir", str(tmp_path / "o"), "--workers", "0"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("error: --workers: ")
     assert not (tmp_path / "o").exists()
 
 
@@ -398,7 +413,10 @@ def test_setpoint_parsing_accepts_units(tmp_path):
 
 
 @pytest.mark.parametrize("text, problem", [("", "empty"), ("t,x,y\n", "no rows"),
-                                           ("t,x\n0,1.0\n1,2.0\n", "t, x and y")])
+                                           ("t,x\n0,1.0\n1,2.0\n", "t, x and y"),
+                                           ("t,x,y\n0,0.0,0.0\n1,nan,1.0\n",
+                                            "line 3: expected finite values"),
+                                           ("t,x,y\n0,0.0,-inf\n", "line 2: expected finite")])
 def test_plot_malformed_trajectory_csv_exits_two(tmp_path, capsys, text, problem):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -613,10 +631,16 @@ def test_json_that_is_not_an_object_exits_two(tmp_path, capsys):
     (lambda doc: doc.update(layer_sizes=[5, 8, 1], theta=doc["theta"][:57]),
      "policy outputs 1 channels, environment needs 2"),
     (lambda doc: doc["theta"].__setitem__(3, math.nan),
-     "parameter vector must be flat and finite"),
-    (lambda doc: doc.update(theta=[doc["theta"]]), "parameter vector must be flat and finite"),
-    (lambda doc: doc.update(theta=0.5), "parameter vector has length 1, spec (5, 8, 2) needs 66"),
-], ids=["theta_length", "vehicle_one_output", "theta_nan", "theta_nested", "theta_scalar"])
+     "theta[3]: expected a finite quantity, got nan"),
+    (lambda doc: doc.update(theta=[doc["theta"]]),
+     "theta[0]: expected a number or quantity string"),
+    (lambda doc: doc.update(theta=0.5), "theta: expected a list, got 0.5"),
+    (lambda doc: doc.update(theta={}), "theta: expected a list, got {}"),
+    (lambda doc: doc.update(theta=["0.5"] * 66),
+     "theta[0]: cannot parse '0.5'; allowed units: none (plain number only)"),
+    (lambda doc: doc.update(theta=[True] * 66), "theta[0]: expected a quantity, got a boolean"),
+], ids=["theta_length", "vehicle_one_output", "theta_nan", "theta_nested", "theta_scalar",
+        "theta_mapping", "theta_strings", "theta_booleans"])
 def test_checkpoint_policy_must_fit_theta_and_env(tmp_path, capsys, edit, expected):
     _, out = train(tmp_path, GRID_YAML)
     ckpt, tasks = out / CHECKPOINT, str(out / TASKS)
@@ -686,7 +710,9 @@ def test_non_finite_setpoint_exits_two(tmp_path, capsys, setpoint):
         main(["replay", str(out / CHECKPOINT), "--setpoint", setpoint,
               "--output-dir", str(tmp_path / "replays")])
     assert err.value.code == 2
-    assert capsys.readouterr().err.startswith("error: --setpoint: expected finite")
+    index = 2 if "deg" in setpoint else 0
+    assert capsys.readouterr().err.startswith(
+        f"error: --setpoint[{index}]: expected a finite quantity")
     assert not (tmp_path / "replays").exists()
 
 

@@ -447,8 +447,10 @@ def test_folded_lanes_match_single_task_rollouts(case):
 
 def test_evaluate_batch_matches_per_task_sum():
     # the folded fan-out adds each task's lanes in task order, the sum a
-    # loop of one-task rollouts makes
+    # loop of one-task rollouts makes, for a chunk of one candidate too,
+    # whose tasks a plain numpy sum over more than 8 of them adds pairwise
     _, env, task_list, t_max, _ = _fold_cases()[0]
+    task_list = task_list * 3
     rng = np.random.default_rng(6)
     thetas = rng.normal(0.0, 1.0, (6, param_count(SPEC5))) * np.geomspace(0.01, 3.0, 6)[:, None]
     for rich in (None, (1.0, 2.0, 0.5, 0.1)):
@@ -460,8 +462,10 @@ def test_evaluate_batch_matches_per_task_sum():
             expected[:, 1] += p
             expected[:, 2] += j
             expected[:, 3] = np.logical_or(expected[:, 3], c)
-        got = evaluate_batch(thetas, task_list, env, SPEC5, t_max, 2, rich_weights=rich)
-        assert got.tobytes() == expected.tobytes()
+        for rows in (slice(None), *(slice(i, i + 1) for i in range(6))):
+            got = evaluate_batch(thetas[rows], task_list, env, SPEC5, t_max, 2,
+                                 rich_weights=rich)
+            assert got.tobytes() == expected[rows].tobytes()
 
 
 # ---------------------------------------------------------------- mirroring
@@ -922,3 +926,48 @@ def test_batch_rollout_golden_bits(case):
             h.update(np.array(res.trajectory, dtype=float).tobytes())
     assert {"goal run", "crash", "timeout"} <= kinds
     assert h.hexdigest() == GOLDEN[name]
+
+
+def _history_cases():
+    """name -> (TshcConfig fields) of the training-loop digests: each sigma
+    mode with refine off and on, a run that stops in the middle of a restart
+    on a full solution, and a run that splits the fan-out over 2 workers."""
+    base = dict(n_restarts=2, n_iter_max=4, n_candidates=8, t_max=40,
+                sigma_min=0.5, sigma_max=5.0, seed=33)
+    cases = {f"{mode}-refine-{'on' if refine else 'off'}": dict(base, sigma_mode=mode,
+                                                               refine=refine)
+             for mode in ("constant", "random-per-restart", "random-per-iter", "adaptive")
+             for refine in (False, True)}
+    # solved at restart 1, iteration 2: the run ends there, restarts 2 and 3 unused
+    cases["stops-mid-restart"] = dict(base, n_restarts=3, sigma_mode="adaptive", seed=10)
+    cases["two-workers"] = dict(base, sigma_mode="random-per-iter", refine=True, workers=2)
+    return cases
+
+
+# sha256 per case of the iteration history without wall times and of the
+# best parameter vector, recorded before the loop's decisions were merged
+# into one place each: a match means the loop's results did not move
+GOLDEN_HISTORY = {
+    "constant-refine-off": "3a982a894abd38c43c9c124af135fff37547685b001f2b1c96902a34a2db1b8c",
+    "constant-refine-on": "3ba13ec063a6eb3aed61b0636637e84f6e7491eaf20e9e9159564813277cf209",
+    "random-per-restart-refine-off": "0181a9b608cf2993cbe1d42a135c9af8a331d8f70c6081898ca2ca90066a152f",
+    "random-per-restart-refine-on": "c99194251a3404f77b0c7424f97b27045a4b694693103a8c63910bc966720fee",
+    "random-per-iter-refine-off": "1d8d4230fb3079438fe5c1e41f92655660a969e6fa755c1ad023303cf2f3bc6a",
+    "random-per-iter-refine-on": "ac5781d8b19b963789ce17cbf7fd1174893689ae993e39545a416248d7b45195",
+    "adaptive-refine-off": "9ee6e851d94baab91db6113037aab2bdeba121b1d52f795c53233ee5db49dbe0",
+    "adaptive-refine-on": "31cabe5552411e2fce88eaffafe39fdb56f580f70d6a66c2842565de8e47fe65",
+    "stops-mid-restart": "4f4ce88c5ce36a389e0d80ce276972ae68e26c1f12e4f749ee0a7ebf94656e6b",
+    "two-workers": "ac5781d8b19b963789ce17cbf7fd1174893689ae993e39545a416248d7b45195",
+}
+
+
+@pytest.mark.parametrize("case", list(_history_cases()))
+def test_tshc_run_golden_history(case):
+    tol = Tolerances(1.0, 1.0, 3.0)
+    task_list = [freeform_task((0, 0, 0, 0), (1.3, 0, 0, 0), tol, task_id="ahead"),
+                 freeform_task((0, 0, 0, 0), (-1.3, 0.2, 0, 0), tol, task_id="behind")]
+    best, history = tshc_run(TshcConfig(**_history_cases()[case]), task_list,
+                             small_env(), SPEC4)
+    h = hashlib.sha256(repr(strip_wall_time(history)).encode())
+    h.update(best.theta.tobytes())
+    assert h.hexdigest() == GOLDEN_HISTORY[case]
