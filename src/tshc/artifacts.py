@@ -25,11 +25,16 @@ CHECKPOINT_KEYS = ("theta", "layer_sizes", "env", "normalization", "task_digest"
 TASKLIST_FORMAT = "tshc-tasks-v1"
 
 
-def _atomic_write(path, text):
+def atomic_write(path, text):
+    """Write ``text`` to ``path`` through a temp file beside it and a rename;
+    the file gets the mode a plain ``open`` gives, not the temp file's 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        umask = os.umask(0)  # read by setting it, then restored
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -48,13 +53,16 @@ def write_task_list(path, task_list):
     doc = {"format": TASKLIST_FORMAT,
            "digest": task_digest(task_list),
            "tasks": [dump(t, TASK) for t in task_list]}
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _read_object(path):
     """The JSON object in the file ``path``; other JSON is a ``ValueError``."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # a syntax error or bytes that are not text
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -84,12 +92,9 @@ def write_checkpoint(path, spec, theta, norm, task_list, env_config, seed,
     if replay is not None:
         doc["replay"] = replay
     if best is not None:
-        doc["best"] = {"n_solved": best.n_solved,
-                       "pathlength": best.pathlength,
-                       "reward": best.reward,
-                       "restart": best.restart,
-                       "iteration": best.iteration}
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
+        doc["best"] = {field.name: getattr(best, field.name)
+                       for field in dataclasses.fields(best) if field.name != "theta"}
+    atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def read_checkpoint(path):
@@ -120,7 +125,7 @@ def write_trajectory_csv(path, columns, rows):
     lines = [",".join(columns)]
     for t, *values in rows:
         lines.append(",".join([str(t), *map(repr, values)]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path):
@@ -154,7 +159,7 @@ def read_trajectory_csv(path):
 
 
 def write_summary(path, summary):
-    _atomic_write(path, json.dumps(summary, indent=2) + "\n")
+    atomic_write(path, json.dumps(summary, indent=2) + "\n")
 
 
 def read_summary(path):

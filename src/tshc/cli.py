@@ -22,8 +22,8 @@ import time
 
 from . import artifacts, plotting, trainer
 from . import tasks as tasklib
-from .config import (REPLAY, ConfigError, DEFAULT_OUTPUT_ENV_VAR, VEHICLE_STATE, dump,
-                     env_from_config, load, load_run_config)
+from .config import (REPLAY, REPLAY_RECIPES, ConfigError, DEFAULT_OUTPUT_ENV_VAR,
+                     VEHICLE_STATE, dump, env_from_config, load, load_run_config)
 from .policy import MlpSpec
 from .trainer import rollout, tshc_run
 
@@ -40,7 +40,6 @@ def cmd_train(args):
     except (OSError, ValueError) as exc:  # ConfigError included
         _fail(exc)
     out = run.output_dir
-    os.makedirs(out, exist_ok=True)
     seed = run.seed
     task_path = os.path.join(out, f"tasks_seed{seed}.json")
     log_path = os.path.join(out, f"train_log_seed{seed}.jsonl")
@@ -130,7 +129,8 @@ def _read_checkpoint(args):
         _fail(exc)
     try:
         env = env_from_config(doc["env"], doc["normalization"])
-        replay = load(doc.get("replay", {}), REPLAY, "replay", env_kind=env.kind)
+        replay = load(doc.get("replay", {}), REPLAY, "replay", env_kind=env.kind,
+                      feature_recipe=REPLAY_RECIPES[env.kind])
         doc["seed"] = load(doc.get("seed", 0), int, "seed")
         spec = MlpSpec(load(doc["layer_sizes"], [int], "layer_sizes"))
     except ValueError as exc:
@@ -209,7 +209,6 @@ def cmd_replay(args):
     res = rollout(doc["theta"], task, env, spec, replay.t_max, replay.t_goal,
                   record=True, mirror=args.mirror)
     out = args.output_dir or os.environ.get(DEFAULT_OUTPUT_ENV_VAR, ".")
-    os.makedirs(out, exist_ok=True)
     base = os.path.join(out, f"replay_{_slug(task.id)}_seed{doc['seed']}")
     artifacts.write_trajectory_csv(base + ".csv", env.csv_columns, res.trajectory)
     artifacts.write_summary(base + ".json", {
@@ -245,10 +244,7 @@ def cmd_plot(args):
                              [r[1] for r in rows], [r[2] for r in rows]))
     if not trajectories:
         _fail("no trajectories to plot")
-    svg = plotting.render_svg(trajectories, goals)
-    os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
-    with open(args.output, "w") as fh:
-        fh.write(svg)
+    artifacts.atomic_write(args.output, plotting.render_svg(trajectories, goals))
     print(f"wrote {args.output} ({len(trajectories)} trajectories)",
           file=sys.stderr)
     return 0

@@ -27,7 +27,7 @@ from .dynamics import ActuatorLimits, PendulumParams, VehicleParams, crash_check
 from .envs import PendulumEnv, VehicleEnv
 from .policy import MlpSpec
 from .reward import Tolerances, VvcConfig
-from .trainer import TshcConfig
+from .trainer import TshcConfig, check_fit
 
 DEFAULT_OUTPUT_ENV_VAR = "TSHC_OUTPUT_DIR"
 # keyed by the few section classes and task builders; read on every _section call
@@ -195,12 +195,14 @@ GOAL_TUPLE = _Section(tasklib.GoalTuple, {"achieved": ("z_hat_goal", _STATE),
                                           "commanded": ("z_goal", _STATE),
                                           "task_id": ("task_id", str)})
 # a checkpoint's replay block, read as the template of a setpoint task (its
-# env_kind fixed to the checkpoint's) whose t_max and t_goal are the replay
+# env_kind fixed to the checkpoint's, its feature recipe falling back to
+# that plant's in REPLAY_RECIPES) whose t_max and t_goal are the replay
 # horizon; an absent key keeps its fallback
 REPLAY = _Section(tasklib.Task, {
     **_same_names(t_max=int, t_goal=int, feature_recipe=str), "tolerances": _TOLERANCES},
     dict(id="setpoint", z0=(0.0,) * 4, z_goal=(0.0,) * 4, t_max=1000, t_goal=1,
-         feature_recipe=tasklib.GOAL5, tol=tasklib.DEFAULT_VEHICLE_TOL))
+         tol=tasklib.DEFAULT_VEHICLE_TOL))
+REPLAY_RECIPES = {tasklib.VEHICLE: tasklib.GOAL5, tasklib.PENDULUM: tasklib.PENDULUM4}
 # unit kinds of a vehicle state or setpoint (x, y, psi, v)
 VEHICLE_STATE = ("length", "length", "angle", "speed")
 # generator -> (task-list builder, env kind it needs, key table)
@@ -311,6 +313,10 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
     env, norm, env_config = _build_env(doc["env"], doc.get("vvc"),
                                        doc.get("normalization", {}))
     task_list = _build_tasks(doc["tasks"], env.kind)
+    try:
+        check_fit(task_list, env, spec)
+    except ValueError as exc:
+        raise ConfigError(f"policy.layer_sizes: {exc}") from None
     if env.kind == tasklib.VEHICLE:
         _check_vehicle_tasks(task_list, env.params)
     config_workers = (_at_least(doc["workers"], 1, "config.workers") if "workers" in doc

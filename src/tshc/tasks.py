@@ -19,6 +19,7 @@ GOAL5 = "goal5"          # goal4 plus the previous raw steering output
 PENDULUM4 = "pendulum4"  # normalized (p, p_dot, theta, theta_dot)
 
 RECIPE_DIMS = {GOAL4: 4, GOAL5: 5, PENDULUM4: 4}
+RECIPE_KINDS = {GOAL4: VEHICLE, GOAL5: VEHICLE, PENDULUM4: PENDULUM}  # the plant each reads
 
 # only tolerance set published for vehicle tasks: 0.25 m, 1 deg, 5 km/h
 DEFAULT_VEHICLE_TOL = Tolerances(0.25, math.radians(1.0), 5.0 / 3.6)
@@ -43,8 +44,9 @@ class Task:
     def __post_init__(self):
         if self.env_kind not in (VEHICLE, PENDULUM):
             raise ValueError(f"env_kind: unknown kind {self.env_kind!r}")
-        if self.feature_recipe not in RECIPE_DIMS:
-            raise ValueError(f"feature_recipe: unknown recipe {self.feature_recipe!r}")
+        if RECIPE_KINDS.get(self.feature_recipe) != self.env_kind:
+            raise ValueError(f"feature_recipe: {self.feature_recipe!r} is not a "
+                             f"{self.env_kind} recipe")
         z0 = tuple(float(v) for v in self.z0)
         z_goal = tuple(float(v) for v in self.z_goal)
         if len(z0) != 4 or len(z_goal) != 4:

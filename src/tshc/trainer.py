@@ -162,20 +162,16 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     # success window per lane
     goal_run = np.repeat([task.t_goal or t_goal for task in task_list], n)
     # a lane times out at its task's horizon; the loop runs to the longest,
-    # and a shorter one retires its lanes at that step, a check made only on
-    # the steps in ``stops`` (whose last, the longest, the loop never reaches)
+    # and a shorter one retires its lanes at that step
     horizons = [task.t_max or t_max for task in task_list]
     T = max(horizons)
     lane_horizon = np.repeat(horizons, n)
-    stops = iter(sorted(set(horizons)))
-    k = 5 - env.control_dim  # pose rows in a trajectory row
+    stops = set(horizons)
     if record:
-        # a step writes the rows of the live lanes, in slot order, to
-        # ``steps_rec``; a retirement moves the rows written since the last
-        # one (``since``) to the lanes' own rows of ``rec``
-        rec = np.empty((T + 1, lanes, k + env.control_dim))
-        steps_rec = np.empty((T, k + env.control_dim, lanes))
-        since = 0
+        # a step writes the row of each live lane in place: k pose columns,
+        # then the controls
+        rec = np.empty((T + 1, lanes, len(env.csv_columns) - 1))
+        k = rec.shape[2] - env.control_dim
     # the working arrays (S and its observation, layers, consts, goal_run,
     # last_raw, run and the running path length and reward) hold the live
     # lanes only, in slot order; ``live`` maps the slots to their lanes, and
@@ -193,8 +189,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
 
     def retire(gone, n_steps, outcome=None):
         # drops the lanes ``gone``, flagged in ``outcome``; True once none is left
-        nonlocal live, S, obs, layers, private, consts, goal_run, last_raw, run, path, \
-            dense, since
+        nonlocal live, S, obs, layers, private, consts, goal_run, last_raw, run, path, dense
         rows = live[gone]
         if outcome is not None:
             outcome[rows] = True
@@ -203,9 +198,6 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         P[rows] = path[gone]
         J[rows] = dense[gone]
         if record:
-            written = steps_rec[since:n_steps, :, :live.size]
-            rec[since:n_steps, live] = written.transpose(0, 2, 1)
-            since = n_steps
             rec[n_steps, rows, :k] = S[:k, gone].T
             rec[n_steps, rows, k:] = rec[n_steps - 1, rows, k:] if n_steps else 0.0
         # the m survivors take slots [0, m): one past m moves into the slot
@@ -236,12 +228,10 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         dense = dense[keep]
         return not m
 
-    stop = next(stops)
     for t in range(T):
         obs = env.observe(S, consts)
-        if t == stop:
+        if t in stops:
             timed_out = lane_horizon[live] == t
-            stop = next(stops)
             if np.count_nonzero(timed_out) and retire(timed_out, t):
                 break
         run = (run + 1) * env.goal_mask(obs, consts)
@@ -262,8 +252,8 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         crash |= ~np.isfinite(S_next).all(0)  # a NaN control makes the pose NaN
         path -= step  # P is minus the distance travelled
         if record:
-            steps_rec[t, :k, :live.size] = S[:k]
-            steps_rec[t, k:, :live.size] = controls
+            rec[t, live, :k] = S[:k].T
+            rec[t, live, k:] = controls.T
         S = S_next
         last_raw = raw[:, -1]
         if np.count_nonzero(crash) and retire(crash, t + 1, crashed):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import textwrap
 from xml.etree import ElementTree
 
@@ -154,12 +155,18 @@ training:
      "tasks: task 'heading0'"),
     (TRIVIAL_YAML.replace("kind: vehicle", "kind: vehicle\n  workspace: [-1, -1, 1, 1]")
      .replace("z_goal: [0, 0, 0, 0]", "z_goal: [0, 2, 0, 0]"), "tasks: task 'freeform'"),
+    (TRIVIAL_YAML.replace("z_goal: [0, 0, 0, 0]",
+                          "z_goal: [0, 0, 0, 0]\n  feature_recipe: pendulum4"),
+     "tasks: feature_recipe"),
+    (GRID_YAML.replace("[5, 8, 2]", "[4, 8, 2]"), "policy.layer_sizes"),
+    (PENDULUM_YAML.replace("[4, 8, 1]", "[4, 8, 2]"), "policy.layer_sizes"),
 ], ids=["cart_mass", "pendulum_kind", "t_goal", "task_t_goal_zero", "tolerance",
         "feature_recipe", "grid_feature_recipe", "workspace_entry", "degenerate_workspace",
         "obstacles_scalar", "obstacle_entry", "limits", "refine_string",
         "fractional_candidates", "workers", "workers_zero", "negative_seed",
         "output_dir_list", "output_dir_int", "output_dir_mapping", "grid_inside_obstacle",
-        "goal_outside_workspace"])
+        "goal_outside_workspace", "pendulum_recipe_on_vehicle", "narrow_input",
+        "pendulum_two_outputs"])
 def test_train_invalid_config_value_exits_two(tmp_path, capsys, text, key):
     # a value the config builders reject is an error line that names its
     # key (the section, when the section's own check rejects it) and exit
@@ -568,6 +575,8 @@ CHECKPOINT, TASKS = "checkpoint_seed3.json", "tasks_seed3.json"
     (CHECKPOINT, ("replay", "t_max"), 2.7, "replay.t_max"),
     (CHECKPOINT, ("replay", "t_max"), True, "replay.t_max"),
     (CHECKPOINT, ("replay", "feature_recipe"), "nope", "feature_recipe"),
+    (CHECKPOINT, ("replay", "feature_recipe"), "pendulum4",
+     "replay: feature_recipe: 'pendulum4' is not a vehicle recipe"),
     (CHECKPOINT, ("replay", "colour"), "red", "replay.colour"),
     (CHECKPOINT, ("goal_tuples", 0, "achieved"), [0, 0, 0], "goal_tuples[0].achieved"),
     (CHECKPOINT, ("goal_tuples", 0, "achieved"), "0000", "goal_tuples[0].achieved"),
@@ -578,11 +587,13 @@ CHECKPOINT, TASKS = "checkpoint_seed3.json", "tasks_seed3.json"
      "goal_tuples[0].achieved[2]: expected a finite quantity"),
     (TASKS, ("tasks", 0, "z0"), "0000", "tasks[0].z0"),
     (TASKS, ("tasks", 0, "colour"), "red", "tasks[0].colour"),
+    (TASKS, ("tasks", 0, "feature_recipe"), "pendulum4",
+     "tasks[0]: feature_recipe: 'pendulum4' is not a vehicle recipe"),
 ], ids=["replay_t_max_negative", "replay_t_goal_zero", "replay_t_max_fraction",
-        "replay_t_max_bool", "replay_recipe", "replay_unknown_key", "achieved_three",
-        "achieved_string", "achieved_scalar", "goal_tuple_scalar", "goal_tuple_unknown_key",
-        "achieved_nan",
-        "task_z0_string", "task_unknown_key"])
+        "replay_t_max_bool", "replay_recipe", "replay_pendulum_recipe", "replay_unknown_key",
+        "achieved_three", "achieved_string", "achieved_scalar", "goal_tuple_scalar",
+        "goal_tuple_unknown_key", "achieved_nan",
+        "task_z0_string", "task_unknown_key", "task_pendulum_recipe"])
 def test_malformed_artifact_value_exits_two(tmp_path, capsys, name, keys, value, key):
     # task entries, goal tuples and the replay block are read through strict
     # tables: a bad value or an unknown key is an error line naming the file
@@ -606,12 +617,15 @@ def test_malformed_artifact_value_exits_two(tmp_path, capsys, name, keys, value,
 
 
 def test_json_that_is_not_an_object_exits_two(tmp_path, capsys):
-    # a task file or checkpoint holding another JSON value is an error line
-    # naming the file, not an AttributeError traceback
+    # a task file or checkpoint holding another JSON value, or no JSON, is
+    # an error line naming the file, not an AttributeError traceback or a
+    # message that does not say which file is bad
     _, out = train(tmp_path, GRID_YAML)
     ckpt, tasks, bad = str(out / CHECKPOINT), str(out / TASKS), tmp_path / "bad.json"
     svg = str(tmp_path / "p.svg")
-    for text in ("[]", '"x"', "3"):
+    for text, problem in (("[]", "expected a JSON object"), ('"x"', "expected a JSON object"),
+                          ("3", "expected a JSON object"),
+                          ("{bad", "Expecting property name enclosed in double quotes")):
         bad.write_text(text)
         for argv in (["replay", ckpt, "--task", "heading10", "--tasks", str(bad)],
                      ["replay", str(bad), "--setpoint", "0,0,0,0"],
@@ -622,8 +636,37 @@ def test_json_that_is_not_an_object_exits_two(tmp_path, capsys):
                 main(argv)
             assert err.value.code == 2, (text, argv)
             message = capsys.readouterr().err
-            assert message.startswith(f"error: {bad}: expected a JSON object"), message
+            assert message.startswith(f"error: {bad}: {problem}"), message
     assert not (tmp_path / "p.svg").exists()
+
+
+def test_cart_pole_checkpoint_without_replay_recipe_falls_back_to_pendulum4(tmp_path):
+    _, out = train(tmp_path, PENDULUM_YAML)
+    edit_checkpoint(out / CHECKPOINT, lambda doc: doc["replay"].pop("feature_recipe"))
+    assert main(["replay", str(out / CHECKPOINT), "--task", "swingup",
+                 "--tasks", str(out / TASKS), "--output-dir", str(out)]) == 0
+
+
+def test_plot_writes_its_svg_atomically(tmp_path, monkeypatch):
+    # a write that fails at the rename leaves neither the SVG nor a temp
+    # file; one that succeeds gives the SVG the mode a plain open would
+    csv = tmp_path / "run.csv"
+    csv.write_text("t,x,y\n0,0.0,0.0\n1,1.0,0.5\n")
+    plots = tmp_path / "plots"
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(artifacts.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        main(["plot", str(csv), "-o", str(plots / "p.svg")])
+    assert list(plots.iterdir()) == []
+    monkeypatch.undo()
+    assert main(["plot", str(csv), "-o", str(plots / "p.svg")]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert [p.name for p in plots.iterdir()] == ["p.svg"]
+    assert (plots / "p.svg").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 @pytest.mark.parametrize("edit, expected", [

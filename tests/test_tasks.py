@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tshc.reward import Tolerances, goal_difference
-from tshc.tasks import (GOAL4, GOAL5, PENDULUM4, GoalTuple, PendulumNorm, Task,
+from tshc.tasks import (GOAL4, GOAL5, PENDULUM, PENDULUM4, GoalTuple, PendulumNorm, Task,
                         VEHICLE, VehicleNorm, freeform_task, heading_grid,
                         mirror_control, mirror_features, mirror_goal, mirror_task,
                         nearest_goal_lookup, norm_column, pendulum_features,
@@ -24,6 +24,11 @@ def test_task_validation():
         Task("t", VEHICLE, (0, 0, 0, math.inf), (0,) * 4, TOL, GOAL4)
     with pytest.raises(ValueError):
         Task("t", VEHICLE, (0,) * 4, (0,) * 4, TOL, "bogus")
+    # a feature recipe reads one plant's state
+    with pytest.raises(ValueError, match="'pendulum4' is not a vehicle recipe"):
+        Task("t", VEHICLE, (0,) * 4, (0,) * 4, TOL, PENDULUM4)
+    with pytest.raises(ValueError, match="'goal5' is not a pendulum recipe"):
+        Task("t", PENDULUM, (0,) * 4, (0,) * 4, TOL, GOAL5)
 
 
 def test_freeform_task_defaults():
