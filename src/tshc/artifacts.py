@@ -56,12 +56,24 @@ def write_task_list(path, task_list):
     atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
+def _unique_keys(pairs):
+    """The dict of one JSON object's (key, value) pairs; a repeated key,
+    which ``json`` would collapse onto its last value, is a ``ValueError``."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _read_object(path):
-    """The JSON object in the file ``path``; other JSON is a ``ValueError``."""
+    """The JSON object in the file ``path``; other JSON, or an object that
+    repeats a key, is a ``ValueError``."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except ValueError as exc:  # a syntax error or bytes that are not text
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # a syntax error, bytes that are not text, a repeated key
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")

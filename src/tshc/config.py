@@ -220,8 +220,7 @@ _GENERATORS = {
 _POLICY = _same_names(layer_sizes=[int])
 _TRAINING = _same_names(
     n_restarts=int, n_iter_max=int, n_candidates=int, t_max=int, t_goal=int,
-    sigma_mode=str, sigma_min="plain", sigma_max="plain", beta="plain", refine=bool,
-    rich_weights=("plain",) * 4)
+    sigma_mode=str, sigma_min="plain", sigma_max="plain", beta="plain", refine=bool)
 
 
 @dataclass
@@ -297,12 +296,32 @@ def _at_least(raw, low, path):
     return value
 
 
+_YAML_MERGE = "tag:yaml.org,2002:merge"  # the tag of a '<<' key
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a key given twice in one mapping,
+    which ``safe_load`` would collapse onto its last value without a word;
+    the entries that a ``<<`` merge key brings in may still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _YAML_MERGE:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found repeated key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
     """The run of the config file ``path``; ``workers`` and ``output_dir``,
     the ``--workers`` and ``--output-dir`` options, override its keys."""
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     _check_keys(doc, {"seed", "output_dir", "policy", "env", "vvc",

@@ -235,15 +235,3 @@ def step_pendulum(s: PendulumState, force: float, params: PendulumParams) -> Pen
     np_, npd, nth, nthd = step_pendulum_arrays(z, force, params)[:, 0].tolist()
     return PendulumState(np_, npd, nth, nthd, s.t + 1)
 
-
-def pendulum_energy(s: PendulumState, params: PendulumParams) -> float:
-    """Total mechanical energy (uniform-rod pole), for integration checks."""
-    l = params.half_length
-    vx = s.p_dot + l * s.theta_dot * math.cos(s.theta)
-    vy = -l * s.theta_dot * math.sin(s.theta)
-    i_cm = params.m_pole * l * l / 3.0
-    kinetic = (0.5 * params.m_cart * s.p_dot ** 2
-               + 0.5 * params.m_pole * (vx * vx + vy * vy)
-               + 0.5 * i_cm * s.theta_dot ** 2)
-    potential = params.m_pole * params.g * l * math.cos(s.theta)
-    return kinetic + potential

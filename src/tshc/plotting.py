@@ -64,8 +64,7 @@ def render_svg(trajectories, goals=()):
         color = PALETTE[k % len(PALETTE)]
         # escaped as xml.sax.saxutils.escape would, without its ~35 ms import
         label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        points = " ".join(f"{to_px(x, y)[0]:.3f},{to_px(x, y)[1]:.3f}"
-                          for x, y in zip(px, py))
+        points = " ".join(f"{cx:.3f},{cy:.3f}" for cx, cy in map(to_px, px, py))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"><title>{label}</title></polyline>')
         x0, y0 = to_px(px[0], py[0])

@@ -79,21 +79,6 @@ def goal_errors(d):
     return e
 
 
-def rich_values(z, goal, weights):
-    """Dense reward: minus the weighted squared error of z to the goal.
-
-    Both plants hold their four goal coordinates in the first four state
-    rows, the third an angle, which is wrapped; ``goal`` and ``weights``
-    are (4, 1) columns.
-    """
-    d = z - goal
-    wrap_angle(d[2], out=d[2])
-    w = weights * d ** 2
-    # the four terms added left to right, written out: numpy does not
-    # promise the order in which a reduction adds them
-    return -(w[0] + w[1] + w[2] + w[3])
-
-
 def sparse_reward(crash_flag) -> Reward:
     return Reward(-1.0, bool(crash_flag))
 

@@ -10,7 +10,8 @@ columns are built once per rollout, in the same layout for one task as
 for many.  A lane that reaches its goal, crashes, goes non-finite (which
 retires it as crashed) or reaches its task's horizon is dropped from the
 working arrays and columns at once, so later steps compute only the live
-lanes; its step count, path length and reward are written when it leaves.
+lanes; its step count and path length are written when it leaves, and
+its reward is the sparse one, -1 per goal test.
 The working arrays hold the live lanes in slot order, which a retirement
 permutes: each survivor past the new lane count moves into the slot of a
 retired lane, so the weight stack copies only those survivors.  Every lane
@@ -33,7 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import reward
 from . import tasks as tasklib
 from .policy import MlpSpec, forward_layers, init_params, unflatten
 
@@ -63,7 +63,6 @@ class TshcConfig:
     refine: bool = False
     seed: int = 0
     workers: int = 1
-    rich_weights: tuple | None = None
 
     def __post_init__(self):
         if min(self.n_restarts, self.n_iter_max, self.n_candidates, self.t_max) < 1:
@@ -78,8 +77,6 @@ class TshcConfig:
             raise ValueError(f"unknown sigma mode {self.sigma_mode!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.rich_weights is not None and not all(w >= 0.0 for w in self.rich_weights):
-            raise ValueError(f"rich_weights must be non-negative, got {self.rich_weights}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ class IterationRecord:
 
 
 def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
-                  rich_weights=None, record=False, mirror=False):
+                  record=False, mirror=False):
     """Simulate every task of ``task_list`` for a batch of n parameter
     vectors in lockstep.
 
@@ -157,8 +154,6 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     S = env.init_arrays(task_list, n)
     terminal = np.empty(S.shape)
     features = np.empty((lanes, tasklib.RECIPE_DIMS[task_list[0].feature_recipe]))
-    if rich_weights is not None:
-        weights = np.asarray(rich_weights, dtype=float)[:, None]
     # success window per lane
     goal_run = np.repeat([task.t_goal or t_goal for task in task_list], n)
     # a lane times out at its task's horizon; the loop runs to the longest,
@@ -173,30 +168,27 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         rec = np.empty((T + 1, lanes, len(env.csv_columns) - 1))
         k = rec.shape[2] - env.control_dim
     # the working arrays (S and its observation, layers, consts, goal_run,
-    # last_raw, run and the running path length and reward) hold the live
+    # last_raw, run and the running path length) hold the live
     # lanes only, in slot order; ``live`` maps the slots to their lanes, and
     # a lane's results are written when it retires
     live = np.arange(lanes)
     last_raw = np.zeros(lanes)
     run = np.zeros(lanes, dtype=np.int64)
     path = np.zeros(lanes)
-    dense = np.zeros(lanes)
     success = np.zeros(lanes, dtype=np.int64)
     crashed = np.zeros(lanes, dtype=bool)
     steps = np.zeros(lanes, dtype=np.int64)
     P = np.zeros(lanes)
-    J = np.zeros(lanes)
 
     def retire(gone, n_steps, outcome=None):
         # drops the lanes ``gone``, flagged in ``outcome``; True once none is left
-        nonlocal live, S, obs, layers, private, consts, goal_run, last_raw, run, path, dense
+        nonlocal live, S, obs, layers, private, consts, goal_run, last_raw, run, path
         rows = live[gone]
         if outcome is not None:
             outcome[rows] = True
         terminal[:, rows] = S[:, gone]
         steps[rows] = n_steps
         P[rows] = path[gone]
-        J[rows] = dense[gone]
         if record:
             rec[n_steps, rows, :k] = S[:k, gone].T
             rec[n_steps, rows, k:] = rec[n_steps - 1, rows, k:] if n_steps else 0.0
@@ -225,7 +217,6 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         last_raw = last_raw[keep]
         run = run[keep]
         path = path[keep]
-        dense = dense[keep]
         return not m
 
     for t in range(T):
@@ -236,10 +227,6 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
                 break
         run = (run + 1) * env.goal_mask(obs, consts)
         done = run >= goal_run
-        if rich_weights is not None:
-            # every live lane collects this step's reward, a lane that
-            # reaches its goal run here included
-            dense += reward.rich_values(S[:4], consts.goal, weights)
         if np.count_nonzero(done) and retire(done, t, success):
             break
         feats = env.features_arrays(obs, consts, last_raw, features[:live.size])
@@ -259,22 +246,20 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         if np.count_nonzero(crash) and retire(crash, t + 1, crashed):
             break
     retire(np.ones(live.size, dtype=bool), T)  # lanes that timed out
-    if rich_weights is None:
-        # the sparse reward is -1 per goal test: one per step, plus the
-        # test that found a lane's goal run
-        J = (-(steps + success)).astype(float)
+    # the sparse reward is -1 per goal test: one per step, plus the test
+    # that found a lane's goal run
+    J = (-(steps + success)).astype(float)
     trajectories = ([rec[:m + 1, lane] for lane, m in enumerate(steps.tolist())]
                     if record else None)
     return success, P, J, crashed, steps, trajectories, terminal
 
 
 def rollout(theta, task, env, spec: MlpSpec, t_max, t_goal=1,
-            rich_weights=None, record=False, mirror=False) -> RolloutResult:
+            record=False, mirror=False) -> RolloutResult:
     """Single-candidate rollout of one task: a one-lane ``batch_rollout``;
     optionally records the trajectory as (t, pose..., controls...) rows."""
     success, P, J, crashed, steps, trajectories, S = batch_rollout(
-        theta, spec, [task], env, t_max, t_goal,
-        rich_weights=rich_weights, record=record, mirror=mirror)
+        theta, spec, [task], env, t_max, t_goal, record=record, mirror=mirror)
     trajectory = None
     if record:
         trajectory = [(t, *row) for t, row in enumerate(trajectories[0].tolist())]
@@ -283,8 +268,7 @@ def rollout(theta, task, env, spec: MlpSpec, t_max, t_goal=1,
                          tuple(S[:4, 0].tolist()))
 
 
-def evaluate_batch(thetas, task_list, env, spec, t_max, t_goal,
-                   rich_weights=None):
+def evaluate_batch(thetas, task_list, env, spec, t_max, t_goal):
     """Scores of each batch row summed over all tasks: an (n, 4) float array
     with the ``CandidateScore`` columns n_solved, pathlength, reward and
     crashed (0 or 1, set if the candidate crashed on any task).
@@ -292,8 +276,7 @@ def evaluate_batch(thetas, task_list, env, spec, t_max, t_goal,
     All tasks run in one folded rollout; a cumulative sum adds each task's
     lanes in task order, as a loop over the tasks would (a numpy ``sum``
     may add them pairwise)."""
-    s, p, j, c, _, _, _ = batch_rollout(thetas, spec, task_list, env, t_max, t_goal,
-                                        rich_weights=rich_weights)
+    s, p, j, c, _, _, _ = batch_rollout(thetas, spec, task_list, env, t_max, t_goal)
     lanes = np.stack([s, p, j, c], axis=1).reshape(len(task_list), -1, 4)
     scores = np.cumsum(lanes, axis=0)[-1]
     scores[:, 3] = scores[:, 3] > 0  # crashed on any task
@@ -316,12 +299,11 @@ def candidate_theta(theta, sigma, seed, restart, iteration, index, out=None):
 
 
 def _eval_chunk(theta, sigma, seed, restart, iteration, lo, hi,
-                task_list, env, spec, t_max, t_goal, rich_weights):
+                task_list, env, spec, t_max, t_goal):
     thetas = np.empty((hi - lo, theta.shape[0]))
     for j, i in enumerate(range(lo, hi)):
         candidate_theta(theta, sigma, seed, restart, iteration, i, out=thetas[j])
-    return evaluate_batch(thetas, task_list, env, spec, t_max, t_goal,
-                          rich_weights=rich_weights)
+    return evaluate_batch(thetas, task_list, env, spec, t_max, t_goal)
 
 
 def _first_max(values, mask):
@@ -345,10 +327,11 @@ def select_best(scores, current_best: BestSolution, n_tasks):
     improves, ``current_best`` itself is returned.
 
     ``argmax`` matches a strict ``>`` scan only without NaN, and no score
-    is NaN: a lane is dropped the step its state goes non-finite, and the
-    position rows that feed a step's path length and reward come from the
-    previous, finite state.  So pathlength and reward are finite or -inf,
-    and a tie at -inf keeps the lowest index too.
+    is NaN: a lane is dropped the step its state goes non-finite, the
+    position rows that feed a step's path length come from the previous,
+    finite state, and the reward counts goal tests.  So pathlength is
+    finite or -inf, reward is finite, and a tie at -inf keeps the lowest
+    index too.
     """
     scores = np.asarray(scores, dtype=float)
     if not len(scores):
@@ -466,7 +449,7 @@ def tshc_run(cfg: TshcConfig, task_list, env, policy_spec: MlpSpec,
 def _fan_out(pool, bounds, cfg, theta, sigma, restart, iteration, task_list, env, spec):
     # one job per chunk [lo, hi) of ``bounds``; without a pool, one chunk
     jobs = [(theta, sigma, cfg.seed, restart, iteration, int(lo), int(hi),
-             task_list, env, spec, cfg.t_max, cfg.t_goal, cfg.rich_weights)
+             task_list, env, spec, cfg.t_max, cfg.t_goal)
             for lo, hi in zip(bounds[:-1], bounds[1:])]
     chunks = [_eval_chunk(*jobs[0])] if pool is None else pool.starmap(_eval_chunk, jobs)
     return np.concatenate(chunks)

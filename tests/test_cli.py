@@ -188,6 +188,22 @@ def test_train_workers_option_below_one_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("training:", "training:\n  n_restarts: 1\ntraining:", "'training'"),
+    ("  t_max: 10", "  t_max: 10\n  t_max: 20", "'t_max'"),
+], ids=["section", "key"])
+def test_train_repeated_config_key_exits_two(tmp_path, capsys, old, new, key):
+    # YAML keeps the last of two equal keys; a config that repeats one is
+    # an error naming the file and the key, not a run of the last value
+    path = write_config(tmp_path, TRIVIAL_YAML.replace(old, new))
+    with pytest.raises(SystemExit) as err:
+        main(["train", path, "--output-dir", str(tmp_path / "o"), "--workers", "1"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"error: {path}: found repeated key {key}"), message
+    assert not (tmp_path / "o").exists()
+
+
 def test_replay_task_produces_csv_and_summary(tmp_path):
     _, out = train(tmp_path, TRIVIAL_YAML)
     code = main(["replay", str(out / "checkpoint_seed3.json"),
@@ -200,6 +216,39 @@ def test_replay_task_produces_csv_and_summary(tmp_path):
     assert meta["task"] == "freeform"
     assert meta["F"] == 1
     assert meta["mirror"] is False
+
+
+def test_summary_scores_are_the_replay_scores(tmp_path):
+    # p_star and j_star of a training run are what a replay of its
+    # checkpoint reports as P and J: one path length, one sparse reward
+    code, out = train(tmp_path, """
+        seed: 3
+        policy:
+          layer_sizes: [4, 8, 2]
+        env:
+          kind: vehicle
+          sampling_time: 0.1
+        tasks:
+          generator: freeform
+          z0: [0, 0, 0, 0]
+          z_goal: [2, 0, 0, 0]
+          tolerances: {d: 0.5, psi: "90 deg", v: 3}
+        training:
+          n_restarts: 1
+          n_iter_max: 6
+          n_candidates: 20
+          t_max: 40
+          t_goal: 3
+          refine: true
+        """)
+    assert code == 0
+    summary = artifacts.read_summary(out / "summary_seed3.json")
+    assert main(["replay", str(out / "checkpoint_seed3.json"), "--task", "freeform",
+                 "--tasks", str(out / "tasks_seed3.json"), "--output-dir", str(out)]) == 0
+    meta = artifacts.read_summary(out / "replay_freeform_seed3.json")
+    assert meta["F"] == 1 and meta["steps"] > 0
+    assert (summary["p_star"], summary["j_star"]) == (meta["P"], meta["J"])
+    assert meta["J"] == -(meta["steps"] + 1)
 
 
 def test_replay_setpoint_uses_nearest_goal(tmp_path):
@@ -617,15 +666,17 @@ def test_malformed_artifact_value_exits_two(tmp_path, capsys, name, keys, value,
 
 
 def test_json_that_is_not_an_object_exits_two(tmp_path, capsys):
-    # a task file or checkpoint holding another JSON value, or no JSON, is
-    # an error line naming the file, not an AttributeError traceback or a
-    # message that does not say which file is bad
+    # a task file or checkpoint holding another JSON value, no JSON, or an
+    # object that repeats a key (which JSON would collapse onto its last
+    # value) is an error line naming the file, not an AttributeError
+    # traceback, a message that does not say which file is bad or a replay
     _, out = train(tmp_path, GRID_YAML)
     ckpt, tasks, bad = str(out / CHECKPOINT), str(out / TASKS), tmp_path / "bad.json"
     svg = str(tmp_path / "p.svg")
     for text, problem in (("[]", "expected a JSON object"), ('"x"', "expected a JSON object"),
                           ("3", "expected a JSON object"),
-                          ("{bad", "Expecting property name enclosed in double quotes")):
+                          ("{bad", "Expecting property name enclosed in double quotes"),
+                          ('{"format": 1, "format": 2}', "repeated key 'format'")):
         bad.write_text(text)
         for argv in (["replay", ckpt, "--task", "heading10", "--tasks", str(bad)],
                      ["replay", str(bad), "--setpoint", "0,0,0,0"],

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from tshc.dynamics import (ActuatorLimits, Control, PendulumParams, PendulumState,
                            VehicleParams, VehicleState, clamp_controls,
                            crash_check_arrays, intersect_interval,
-                           pendulum_accelerations,
-                           pendulum_energy, step_bicycle,
+                           pendulum_accelerations, step_bicycle,
                            step_pendulum, wrap_angle)
 from tshc.envs import control_intervals
 from tshc.tasks import mirror_goal
@@ -243,6 +242,19 @@ def test_pendulum_step_takes_python_scalars():
         assert np.ndim(w) == 0
         assert float(w) == a - 2.0 * math.pi * math.ceil((a - math.pi) / (2.0 * math.pi))
     assert mirror_goal((1.0, 2.0, -math.pi, 3.0)) == (1.0, -2.0, math.pi, 3.0)
+
+
+def pendulum_energy(s: PendulumState, params: PendulumParams) -> float:
+    """Total mechanical energy (uniform-rod pole), the integration checks' oracle."""
+    l = params.half_length
+    vx = s.p_dot + l * s.theta_dot * math.cos(s.theta)
+    vy = -l * s.theta_dot * math.sin(s.theta)
+    i_cm = params.m_pole * l * l / 3.0
+    kinetic = (0.5 * params.m_cart * s.p_dot ** 2
+               + 0.5 * params.m_pole * (vx * vx + vy * vy)
+               + 0.5 * i_cm * s.theta_dot ** 2)
+    potential = params.m_pole * params.g * l * math.cos(s.theta)
+    return kinetic + potential
 
 
 def test_pendulum_energy_drift_halves_with_timestep():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from tshc.dynamics import ActuatorLimits, VehicleParams
 from tshc.envs import VehicleEnv
 from tshc.reward import (Reward, Tolerances, VVC_CONSTANT, VVC_OFF, VVC_SPATIAL,
-                         VvcConfig, rich_values, sparse_reward, vvc_bounds)
+                         VvcConfig, sparse_reward, vvc_bounds)
 from tshc.tasks import freeform_task
 
 TOL = Tolerances(0.25, math.radians(1.0), 5.0 / 3.6)
@@ -184,23 +184,3 @@ def test_vvc_config_validation():
         VvcConfig(VVC_SPATIAL, r_thresh=0.0)
     with pytest.raises(ValueError):
         VvcConfig(VVC_CONSTANT, margin=-1.0)
-
-
-# ------------------------------------------------------------- rich reward
-
-def rich(state, goal, weights):
-    return rich_values(np.array(state, dtype=float)[:, None],
-                       np.array(goal)[:, None], np.array(weights, dtype=float)[:, None])
-
-
-def test_rich_reward_values():
-    goal = (1.0, 2.0, 0.5, 3.0)
-    at_goal = (1.0, 2.0, 0.5 + 2.0 * math.pi, 3.0)  # heading wraps
-    assert rich(at_goal, goal, (1.0, 1.0, 1.0, 1.0))[0] == pytest.approx(0.0, abs=1e-15)
-    assert rich((2.0, 2.0, 0.5, 3.0), goal, (2.0, 1.0, 1.0, 1.0))[0] == -2.0
-    # the third row is an angle for either plant: a cart-pole state one
-    # full turn from upright scores as upright
-    assert rich((0.0, 0.0, 2.0 * math.pi, 0.0), (0.0,) * 4, (1.0,) * 4)[0] == \
-        pytest.approx(0.0, abs=1e-15)
-    assert rich((1.0, -2.0, 0.0, 0.5), (0.0,) * 4, (1.0, 0.5, 1.0, 4.0))[0] == -4.0
-

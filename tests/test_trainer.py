@@ -155,29 +155,27 @@ def test_batch_rollout_compaction_is_lane_exact():
     for env, task, t_max in cases:
         spec = MlpSpec((RECIPE_DIMS[task.feature_recipe], 6, env.control_dim))
         thetas = rng.normal(0.0, 1.0, (16, param_count(spec))) * scales
-        for rich in (None, (1.0, 2.0, 0.5, 0.1)):
-            for t_goal in (1, 3):
-                for mirror in ((False, True) if env.kind == "vehicle" else (False,)):
-                    out = batch_rollout(thetas, spec, [task], env, t_max, t_goal,
-                                        rich_weights=rich, mirror=mirror)
-                    batch_kinds = set()
-                    for i in range(len(thetas)):
-                        one = batch_rollout(thetas[i:i + 1], spec, [task], env, t_max,
-                                            t_goal, rich_weights=rich, mirror=mirror)
-                        for a, b in zip(out[:5], one[:5]):
-                            assert a[i:i + 1].tobytes() == b.tobytes()
-                        end = out[6][:, i:i + 1]
-                        assert end.tobytes() == one[6].tobytes()
-                        kind = _finish_kind(out[0][i], out[3][i], out[4][i])
-                        # a lane stops where it met its goal or left the track
-                        if kind.startswith("goal"):
-                            k = env.constants([task], 1)
-                            assert env.goal_mask(env.observe(end, k), k)[0]
-                        elif kind == "crash":
-                            assert not _on_track(env, end)
-                        batch_kinds.add(kind)
-                    kinds |= batch_kinds
-                    mixed += len(batch_kinds) >= 3
+        for t_goal in (1, 3):
+            for mirror in ((False, True) if env.kind == "vehicle" else (False,)):
+                out = batch_rollout(thetas, spec, [task], env, t_max, t_goal, mirror=mirror)
+                batch_kinds = set()
+                for i in range(len(thetas)):
+                    one = batch_rollout(thetas[i:i + 1], spec, [task], env, t_max,
+                                        t_goal, mirror=mirror)
+                    for a, b in zip(out[:5], one[:5]):
+                        assert a[i:i + 1].tobytes() == b.tobytes()
+                    end = out[6][:, i:i + 1]
+                    assert end.tobytes() == one[6].tobytes()
+                    kind = _finish_kind(out[0][i], out[3][i], out[4][i])
+                    # a lane stops where it met its goal or left the track
+                    if kind.startswith("goal"):
+                        k = env.constants([task], 1)
+                        assert env.goal_mask(env.observe(end, k), k)[0]
+                    elif kind == "crash":
+                        assert not _on_track(env, end)
+                    batch_kinds.add(kind)
+                kinds |= batch_kinds
+                mixed += len(batch_kinds) >= 3
     assert kinds == {"goal at t=0", "goal run", "crash", "timeout"}
     assert mixed >= 8
 
@@ -426,22 +424,20 @@ def test_folded_lanes_match_single_task_rollouts(case):
     n = 8
     thetas = rng.normal(0.0, 1.0, (n, param_count(spec))) * np.geomspace(0.01, 3.0, n)[:, None]
     kinds = set()
-    for rich in (None, (1.0, 2.0, 0.5, 0.1)):
-        for mirror in mirrors:
-            out = batch_rollout(thetas, spec, task_list, env, t_max, 1,
-                                rich_weights=rich, record=True, mirror=mirror)
-            assert len(out[0]) == len(out[5]) == len(task_list) * n
-            for k, task in enumerate(task_list):
-                for i in range(n):
-                    lane = k * n + i
-                    one = batch_rollout(thetas[i], spec, [task], env, t_max, 1,
-                                        rich_weights=rich, record=True, mirror=mirror)
-                    for a, b in zip(out[:5], one[:5]):
-                        assert a[lane:lane + 1].tobytes() == b.tobytes(), (task.id, i)
-                    assert out[6][:, lane:lane + 1].tobytes() == one[6].tobytes()
-                    assert out[5][lane].tobytes() == one[5][0].tobytes()
-                    assert out[4][lane] <= (task.t_max or t_max)
-                    kinds.add(_finish_kind(out[0][lane], out[3][lane], out[4][lane]))
+    for mirror in mirrors:
+        out = batch_rollout(thetas, spec, task_list, env, t_max, 1, record=True, mirror=mirror)
+        assert len(out[0]) == len(out[5]) == len(task_list) * n
+        for k, task in enumerate(task_list):
+            for i in range(n):
+                lane = k * n + i
+                one = batch_rollout(thetas[i], spec, [task], env, t_max, 1,
+                                    record=True, mirror=mirror)
+                for a, b in zip(out[:5], one[:5]):
+                    assert a[lane:lane + 1].tobytes() == b.tobytes(), (task.id, i)
+                assert out[6][:, lane:lane + 1].tobytes() == one[6].tobytes()
+                assert out[5][lane].tobytes() == one[5][0].tobytes()
+                assert out[4][lane] <= (task.t_max or t_max)
+                kinds.add(_finish_kind(out[0][lane], out[3][lane], out[4][lane]))
     assert {"goal run", "timeout"} <= kinds
 
 
@@ -453,19 +449,16 @@ def test_evaluate_batch_matches_per_task_sum():
     task_list = task_list * 3
     rng = np.random.default_rng(6)
     thetas = rng.normal(0.0, 1.0, (6, param_count(SPEC5))) * np.geomspace(0.01, 3.0, 6)[:, None]
-    for rich in (None, (1.0, 2.0, 0.5, 0.1)):
-        expected = np.zeros((6, 4))
-        for task in task_list:
-            s, p, j, c, _, _, _ = batch_rollout(thetas, SPEC5, [task], env, t_max, 2,
-                                                rich_weights=rich)
-            expected[:, 0] += s
-            expected[:, 1] += p
-            expected[:, 2] += j
-            expected[:, 3] = np.logical_or(expected[:, 3], c)
-        for rows in (slice(None), *(slice(i, i + 1) for i in range(6))):
-            got = evaluate_batch(thetas[rows], task_list, env, SPEC5, t_max, 2,
-                                 rich_weights=rich)
-            assert got.tobytes() == expected[rows].tobytes()
+    expected = np.zeros((6, 4))
+    for task in task_list:
+        s, p, j, c, _, _, _ = batch_rollout(thetas, SPEC5, [task], env, t_max, 2)
+        expected[:, 0] += s
+        expected[:, 1] += p
+        expected[:, 2] += j
+        expected[:, 3] = np.logical_or(expected[:, 3], c)
+    for rows in (slice(None), *(slice(i, i + 1) for i in range(6))):
+        got = evaluate_batch(thetas[rows], task_list, env, SPEC5, t_max, 2)
+        assert got.tobytes() == expected[rows].tobytes()
 
 
 # ---------------------------------------------------------------- mirroring
@@ -861,7 +854,7 @@ def test_evaluate_batch_order_matches_candidate_indices():
 # ------------------------------------------------------------- golden bits
 
 def _golden_cases():
-    """(name, env, tasks, t_max, mirror options, rich options) per digest."""
+    """(name, env, tasks, t_max, mirror options) per digest."""
     obstacle = (1.4, -0.3, 1.8, 0.3)
     box = dict(Ts=0.1, workspace=(-4.0, -4.0, 5.0, 4.0), obstacles=(obstacle,))
     vtol = Tolerances(0.5, 0.5, 3.0)
@@ -870,31 +863,31 @@ def _golden_cases():
                                    task_id="diag"),
                      freeform_task((0, 0, 0, 0), (1.0, -0.5, -0.4, 12.0), vtol, GOAL5,
                                    task_id="fast-goal")]
-    rich = (None, (1.0, 2.0, 0.5, 0.1))
     both = (False, True)
     return [
         ("pendulum", PendulumEnv(PendulumParams(p_limit=1.0)),
          [pendulum_tasks("swingup")[0],
           Task("tilted", PENDULUM, (0, 0, 0.4, 0), (0, 0, 0, 0),
-               Tolerances(1.0, 0.2, 1.0), PENDULUM4)], 60, (False,), rich),
+               Tolerances(1.0, 0.2, 1.0), PENDULUM4)], 60, (False,)),
         ("vehicle-vvc-off", VehicleEnv(VehicleParams(**box)),
-         vehicle_tasks, 25, both, rich),
+         vehicle_tasks, 25, both),
         ("vehicle-vvc-spatial",
          VehicleEnv(VehicleParams(**box), vvc=VvcConfig(VVC_SPATIAL, r_thresh=0.8)),
-         vehicle_tasks, 25, both, rich),
+         vehicle_tasks, 25, both),
         ("vehicle-vvc-constant",
          VehicleEnv(VehicleParams(**box), vvc=VvcConfig(VVC_CONSTANT, r_thresh=0.8)),
-         vehicle_tasks, 25, both, rich),
+         vehicle_tasks, 25, both),
     ]
 
 
-# sha256 per case, recorded on the dict-state rollout that the state matrix
-# replaced: a match means the refactor moved no bit
+# sha256 per case, recorded on the rollout that still had a dense-reward
+# option, with its sparse runs only: a match means the option's removal
+# moved no bit of the sparse rollout
 GOLDEN = {
-    "pendulum": "e7ee97c8def09d3512485959a856ce3dad2a5cb244c21e1749a39a36b350184f",
-    "vehicle-vvc-off": "6fc6800de9263e361500c349bb015dd0cb8c7e907a39c11d9e0da3965c31928d",
-    "vehicle-vvc-spatial": "51437f1154221ee4708876c94bfdcf83a75d3c558187d54e047ade9a7ec8b9ef",
-    "vehicle-vvc-constant": "05c396ee1cfc9a14bb260d12535c816ef25b5eb7cff8af1cbb598460554c14f7",
+    "pendulum": "eee68bc074375bb228d5ef79fd4d8d8359fe3ada83ef8f03ab638108872385af",
+    "vehicle-vvc-off": "27e42c07de7e450da03e7d25596f0effe818a0f8ab3906db03533a27a22bc827",
+    "vehicle-vvc-spatial": "c0babd91b279dec022763b5a88b7e7ea89f94139f633cae793140005f0935855",
+    "vehicle-vvc-constant": "6ec26b6b8b90ab126a9124f9dee3ae01f9eaad15b42bf21aa03d5ee9761c6ec4",
 }
 
 
@@ -903,7 +896,7 @@ def test_batch_rollout_golden_bits(case):
     # every output of batch_rollout, the terminal states and a recorded
     # replay, hashed; any change to the arithmetic of a rollout step moves
     # a bit somewhere in here
-    name, env, task_list, t_max, mirrors, riches = next(
+    name, env, task_list, t_max, mirrors = next(
         c for c in _golden_cases() if c[0] == case)
     rng = np.random.default_rng(sum(map(ord, name)))
     h = hashlib.sha256()
@@ -912,15 +905,13 @@ def test_batch_rollout_golden_bits(case):
         spec = MlpSpec((RECIPE_DIMS[task.feature_recipe], 6, env.control_dim))
         thetas = (rng.normal(0.0, 1.0, (12, param_count(spec)))
                   * np.geomspace(0.01, 3.0, 12)[:, None])
-        for rich_weights in riches:
-            for t_goal in (1, 3):
-                for mirror in mirrors:
-                    out = batch_rollout(thetas, spec, [task], env, t_max, t_goal,
-                                        rich_weights=rich_weights, mirror=mirror)
-                    for a in out[:5]:
-                        h.update(a.tobytes())
-                    h.update(out[6].tobytes())
-                    kinds |= {_finish_kind(*f) for f in zip(out[0], out[3], out[4])}
+        for t_goal in (1, 3):
+            for mirror in mirrors:
+                out = batch_rollout(thetas, spec, [task], env, t_max, t_goal, mirror=mirror)
+                for a in out[:5]:
+                    h.update(a.tobytes())
+                h.update(out[6].tobytes())
+                kinds |= {_finish_kind(*f) for f in zip(out[0], out[3], out[4])}
         for mirror in mirrors:
             res = rollout(thetas[-3], task, env, spec, t_max, record=True, mirror=mirror)
             h.update(np.array(res.trajectory, dtype=float).tobytes())
