@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from .config import GOAL_TUPLE, TASK, dump, load
+from .config import GOAL_TUPLE, TASK, ConfigError, dump, load
 
 CHECKPOINT_FORMAT = "tshc-checkpoint-v1"
 # what replay and plot read from every checkpoint
@@ -58,34 +58,34 @@ def write_task_list(path, task_list):
 
 def _unique_keys(pairs):
     """The dict of one JSON object's (key, value) pairs; a repeated key,
-    which ``json`` would collapse onto its last value, is a ``ValueError``."""
+    which ``json`` would collapse onto its last value, is a ``ConfigError``."""
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ValueError(f"repeated key {key!r}")
+            raise ConfigError(f"repeated key {key!r}")
         doc[key] = value
     return doc
 
 
 def _read_object(path):
     """The JSON object in the file ``path``; other JSON, or an object that
-    repeats a key, is a ``ValueError``."""
+    repeats a key, is a ``ConfigError``."""
     with open(path) as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # a syntax error, bytes that are not text, a repeated key
-            raise ValueError(f"{path}: {exc}") from None
+            raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
 
 
 def read_task_list(path):
     doc = _read_object(path)
     if doc.get("format") != TASKLIST_FORMAT:
-        raise ValueError(f"{path}: not a task-list file")
+        raise ConfigError(f"{path}: not a task-list file")
     if "tasks" not in doc:
-        raise ValueError(f"{path}: task-list file has no tasks")
+        raise ConfigError(f"{path}: task-list file has no tasks")
     return list(load(doc["tasks"], [TASK], f"{path}: tasks"))
 
 
@@ -112,10 +112,10 @@ def write_checkpoint(path, spec, theta, norm, task_list, env_config, seed,
 def read_checkpoint(path):
     doc = _read_object(path)
     if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a checkpoint file")
+        raise ConfigError(f"{path}: not a checkpoint file")
     missing = [key for key in CHECKPOINT_KEYS if key not in doc]
     if missing:
-        raise ValueError(f"{path}: checkpoint has no {', '.join(missing)}")
+        raise ConfigError(f"{path}: checkpoint has no {', '.join(missing)}")
     doc["theta"] = np.array(load(doc["theta"], ["plain"], f"{path}: theta"))
     doc["goal_tuples"] = list(load(doc["goal_tuples"], [GOAL_TUPLE], f"{path}: goal_tuples"))
     return doc
@@ -128,8 +128,18 @@ def append_log_record(path, record):
 
 
 def read_log(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """The records of a training log, one JSON object per line; a line that
+    is not JSON, or repeats a key, is a ``ConfigError`` that names the file
+    and the line."""
+    records = []
+    with open(path, "rb") as fh:
+        for i, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    records.append(json.loads(line.decode(), object_pairs_hook=_unique_keys))
+            except ValueError as exc:  # not text, not JSON, a repeated key
+                raise ConfigError(f"{path}: line {i}: {exc}") from None
+    return records
 
 
 def write_trajectory_csv(path, columns, rows):
@@ -143,30 +153,33 @@ def write_trajectory_csv(path, columns, rows):
 def read_trajectory_csv(path):
     """(columns, rows) of a trajectory CSV: a header of at least t, x and y,
     then one row per step, an int step and finite floats; a file that is
-    not one raises a ``ValueError`` that names it."""
+    not one raises a ``ConfigError`` that names it."""
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        try:
+            lines = [line.strip() for line in fh if line.strip()]
+        except ValueError as exc:  # bytes that are not text
+            raise ConfigError(f"{path}: {exc}") from None
     if not lines:
-        raise ValueError(f"{path}: empty trajectory file")
+        raise ConfigError(f"{path}: empty trajectory file")
     columns = tuple(lines[0].split(","))
     if len(columns) < 3:
-        raise ValueError(f"{path}: expected at least the columns t, x and y, "
-                         f"got {','.join(columns)}")
+        raise ConfigError(f"{path}: expected at least the columns t, x and y, "
+                          f"got {','.join(columns)}")
     if len(lines) == 1:
-        raise ValueError(f"{path}: trajectory file has no rows")
+        raise ConfigError(f"{path}: trajectory file has no rows")
     rows = []
     for i, line in enumerate(lines[1:], 2):
         parts = line.split(",")
         if len(parts) != len(columns):
-            raise ValueError(f"{path}: line {i} has {len(parts)} values, "
-                             f"expected {len(columns)}")
+            raise ConfigError(f"{path}: line {i} has {len(parts)} values, "
+                              f"expected {len(columns)}")
         try:
             values = tuple(float(p) for p in parts[1:])
             if not all(map(math.isfinite, values)):
-                raise ValueError(f"expected finite values, got {line!r}")
+                raise ConfigError(f"expected finite values, got {line!r}")
             rows.append((int(parts[0]),) + values)
         except ValueError as exc:
-            raise ValueError(f"{path}: line {i}: {exc}") from None
+            raise ConfigError(f"{path}: line {i}: {exc}") from None
     return columns, rows
 
 
@@ -175,5 +188,4 @@ def write_summary(path, summary):
 
 
 def read_summary(path):
-    with open(path) as fh:
-        return json.load(fh)
+    return _read_object(path)

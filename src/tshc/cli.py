@@ -28,17 +28,8 @@ from .policy import MlpSpec
 from .trainer import rollout, tshc_run
 
 
-def _fail(message, code=2):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(code)
-
-
 def cmd_train(args):
-    try:
-        run = load_run_config(args.config, workers=args.workers,
-                              output_dir=args.output_dir)
-    except (OSError, ValueError) as exc:  # ConfigError included
-        _fail(exc)
+    run = load_run_config(args.config, workers=args.workers, output_dir=args.output_dir)
     out = run.output_dir
     seed = run.seed
     task_path = os.path.join(out, f"tasks_seed{seed}.json")
@@ -108,9 +99,9 @@ def _parse_setpoint(text):
     """x,y,psi,v: bare numbers in SI, or '<number> <unit>' quantities."""
     try:
         values = [p.strip() if " " in p.strip() else float(p) for p in text.split(",")]
-        return load(values, VEHICLE_STATE, "--setpoint")
-    except ValueError as exc:  # ConfigError included
-        _fail(exc if isinstance(exc, ConfigError) else f"--setpoint: {exc}")
+    except ValueError as exc:
+        raise ConfigError(f"--setpoint: {exc}") from None
+    return load(values, VEHICLE_STATE, "--setpoint")
 
 
 def _slug(text):
@@ -121,12 +112,9 @@ def _read_checkpoint(args):
     """The checkpoint ``args.checkpoint``, its rebuilt environment, policy
     spec and replay template, a setpoint ``Task`` whose ``t_max`` and
     ``t_goal`` are the replay horizon; a checkpoint that cannot be read or
-    rebuilt exits 2."""
+    rebuilt is a ``ConfigError``."""
     path = args.checkpoint
-    try:
-        doc = artifacts.read_checkpoint(path)
-    except (OSError, ValueError) as exc:  # ConfigError included
-        _fail(exc)
+    doc = artifacts.read_checkpoint(path)
     try:
         env = env_from_config(doc["env"], doc["normalization"])
         replay = load(doc.get("replay", {}), REPLAY, "replay", env_kind=env.kind,
@@ -134,16 +122,16 @@ def _read_checkpoint(args):
         doc["seed"] = load(doc.get("seed", 0), int, "seed")
         spec = MlpSpec(load(doc["layer_sizes"], [int], "layer_sizes"))
     except ValueError as exc:
-        _fail(f"{path}: {exc}")
+        raise ConfigError(f"{path}: {exc}") from None
     return doc, env, spec, replay
 
 
 def _check_fit(args, task_list, env, spec, theta):
-    """Exit 2 unless the checkpoint's policy fits ``task_list`` and its env."""
+    """``ConfigError`` unless the checkpoint's policy fits ``task_list`` and its env."""
     try:
         trainer.check_fit(task_list, env, spec, theta)
     except ValueError as exc:
-        _fail(f"{args.checkpoint}: {exc}")
+        raise ConfigError(f"{args.checkpoint}: {exc}") from None
 
 
 def _read_tasks(args, option):
@@ -152,32 +140,29 @@ def _read_tasks(args, option):
     given = getattr(args, option.lstrip("-")) is not None
     if args.tasks is None:
         if given:
-            _fail(f"{option} needs --tasks FILE")
+            raise ConfigError(f"{option} needs --tasks FILE")
         return None
     if not given:
-        _fail(f"--tasks needs {option}")
-    try:
-        return artifacts.read_task_list(args.tasks)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
+        raise ConfigError(f"--tasks needs {option}")
+    return artifacts.read_task_list(args.tasks)
 
 
 def _check_digest(args, doc, task_list):
     if artifacts.task_digest(task_list) != doc["task_digest"]:
-        _fail(f"{args.tasks} is not the task list checkpoint {args.checkpoint} "
-              f"was trained on (task digests differ)")
+        raise ConfigError(f"{args.tasks} is not the task list checkpoint "
+                          f"{args.checkpoint} was trained on (task digests differ)")
 
 
 def _check_mirror(args, env):
     """``--mirror`` reflects through the x-axis, which the vehicle's steering
     box maps onto itself only when its limits are symmetric."""
     if env.kind != tasklib.VEHICLE:
-        _fail("--mirror is defined for vehicle checkpoints")
+        raise ConfigError("--mirror is defined for vehicle checkpoints")
     lim = env.limits
     if lim.delta_min != -lim.delta_max or lim.deltadot_min != -lim.deltadot_max:
-        _fail(f"--mirror needs symmetric steering limits, but {args.checkpoint} has "
-              f"steer [{lim.delta_min!r}, {lim.delta_max!r}] and steer_rate "
-              f"[{lim.deltadot_min!r}, {lim.deltadot_max!r}]")
+        raise ConfigError(f"--mirror needs symmetric steering limits, but {args.checkpoint} "
+                          f"has steer [{lim.delta_min!r}, {lim.delta_max!r}] and steer_rate "
+                          f"[{lim.deltadot_min!r}, {lim.deltadot_max!r}]")
 
 
 def cmd_replay(args):
@@ -188,15 +173,15 @@ def cmd_replay(args):
     if task_list is not None:
         matches = [t for t in task_list if t.id == args.task]
         if not matches:
-            _fail(f"task {args.task!r} not found in {args.tasks}")
+            raise ConfigError(f"task {args.task!r} not found in {args.tasks}")
         task = tasklib.mirror_task(matches[0]) if args.mirror else matches[0]
     else:
         if env.kind != tasklib.VEHICLE:
-            _fail("setpoint replay is defined for vehicle checkpoints")
+            raise ConfigError("setpoint replay is defined for vehicle checkpoints")
         setpoint = _parse_setpoint(args.setpoint)
         store = doc["goal_tuples"]
         if not store:
-            _fail("checkpoint stores no goal tuples; train first")
+            raise ConfigError("checkpoint stores no goal tuples; train first")
         lookup_point = tasklib.mirror_goal(setpoint) if args.mirror else setpoint
         tup = tasklib.nearest_goal_lookup(lookup_point, store)
         goal = tasklib.mirror_goal(tup.z_goal) if args.mirror else tup.z_goal
@@ -236,14 +221,11 @@ def cmd_plot(args):
             trajectories.append((task.id, rows[:, 0].tolist(), rows[:, 1].tolist()))
             goals.append((task.z_goal[0], task.z_goal[1]))
     for path in args.inputs:
-        try:
-            _, rows = artifacts.read_trajectory_csv(path)
-        except (OSError, ValueError) as exc:
-            _fail(exc)
+        _, rows = artifacts.read_trajectory_csv(path)
         trajectories.append((os.path.basename(path),
                              [r[1] for r in rows], [r[2] for r in rows]))
     if not trajectories:
-        _fail("no trajectories to plot")
+        raise ConfigError("no trajectories to plot")
     artifacts.atomic_write(args.output, plotting.render_svg(trajectories, goals))
     print(f"wrote {args.output} ({len(trajectories)} trajectories)",
           file=sys.stderr)
@@ -287,8 +269,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; bad input or an unreadable or unwritable file exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -45,7 +45,8 @@ _UNIT_FACTORS = {
 
 
 class ConfigError(ValueError):
-    pass
+    """Bad input from outside: a config, checkpoint, task file, trajectory
+    CSV or command-line option; ``cli.main`` reports it and exits 2."""
 
 
 def parse_quantity(value, kind, path="value"):

@@ -159,15 +159,29 @@ def intersect_interval(lo, hi, other_lo, other_hi):
     return new_lo, new_hi
 
 
+def control_bounds(lim: ActuatorLimits, Ts):
+    """(2, 1) columns of the v and delta channels: absolute minimum and
+    maximum, then the largest step down and up in one sample (rate * Ts)."""
+    return (np.array([[lim.v_min], [lim.delta_min]]),
+            np.array([[lim.v_max], [lim.delta_max]]),
+            np.array([[lim.vdot_min * Ts], [lim.deltadot_min * Ts]]),
+            np.array([[lim.vdot_max * Ts], [lim.deltadot_max * Ts]]))
+
+
+def control_intervals(prev, bounds):
+    """Admissible [lo, hi] of the v (row 0) and delta (row 1) channels: the
+    rate box around the previous commands ``prev``, a (2, lanes) array,
+    intersected with the absolute box.  ``bounds`` holds the four columns of
+    ``control_bounds``, whose absolute box may instead hold a column per
+    lane: a VVC box clipped into the actuator's v box narrows its row 0."""
+    lo, hi, step_lo, step_hi = bounds
+    return intersect_interval(prev + step_lo, prev + step_hi, lo, hi)
+
+
 def clamp_controls(raw: Control, prev: Control, lim: ActuatorLimits, Ts: float) -> Control:
-    """Project a raw command onto the admissible absolute-and-rate box."""
-    v_lo, v_hi = intersect_interval(prev.v + lim.vdot_min * Ts, prev.v + lim.vdot_max * Ts,
-                                    lim.v_min, lim.v_max)
-    d_lo, d_hi = intersect_interval(prev.delta + lim.deltadot_min * Ts,
-                                    prev.delta + lim.deltadot_max * Ts,
-                                    lim.delta_min, lim.delta_max)
-    return Control(float(np.clip(raw.v, v_lo, v_hi)),
-                   float(np.clip(raw.delta, d_lo, d_hi)))
+    """Project a raw command onto the box of ``control_intervals``."""
+    lo, hi = control_intervals(np.array([[prev.v], [prev.delta]]), control_bounds(lim, Ts))
+    return Control(*np.clip([[raw.v], [raw.delta]], lo, hi)[:, 0].tolist())
 
 
 def step_bicycle_arrays(pose, v, delta, params: VehicleParams, out=None):

@@ -31,28 +31,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics, reward, tasks
-from .dynamics import ActuatorLimits, PendulumParams, VehicleParams, wrap_angle
+# apply_arrays calls control_intervals by this module's name, which perfbench wraps
+from .dynamics import (ActuatorLimits, PendulumParams, VehicleParams, control_bounds,
+                       control_intervals, wrap_angle)
 from .policy import affine_scale
 from .reward import VvcConfig
-
-
-def control_bounds(lim: ActuatorLimits, Ts):
-    """(2, 1) columns of the v and delta channels: absolute minimum and
-    maximum, then the largest step down and up in one sample (rate * Ts)."""
-    return (np.array([[lim.v_min], [lim.delta_min]]),
-            np.array([[lim.v_max], [lim.delta_max]]),
-            np.array([[lim.vdot_min * Ts], [lim.deltadot_min * Ts]]),
-            np.array([[lim.vdot_max * Ts], [lim.deltadot_max * Ts]]))
-
-
-def control_intervals(prev, bounds):
-    """Admissible [lo, hi] of the v (row 0) and delta (row 1) channels: the
-    rate box around the previous commands ``prev``, a (2, lanes) array,
-    intersected with the absolute box.  ``bounds`` holds the four columns of
-    ``control_bounds``, whose absolute box may instead hold a column per
-    lane: a VVC box clipped into the actuator's v box narrows its row 0."""
-    lo, hi, step_lo, step_hi = bounds
-    return dynamics.intersect_interval(prev + step_lo, prev + step_hi, lo, hi)
 
 
 @dataclass(frozen=True)

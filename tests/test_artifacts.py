@@ -2,11 +2,13 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from tshc import artifacts
+from tshc.config import ConfigError
 from tshc.policy import MlpSpec, init_params, param_count
 from tshc.reward import Tolerances
 from tshc.tasks import GoalTuple, VehicleNorm, freeform_task, heading_grid, pendulum_tasks
@@ -125,6 +127,27 @@ def test_summary_round_trip(tmp_path):
     summary = {"n_star": 10, "p_star": -3.25, "wall_time_s": 1.5}
     artifacts.write_summary(path, summary)
     assert artifacts.read_summary(path) == summary
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"n_star": 1, "n_star": 2}\n', "repeated key 'n_star'"),
+    ("[1, 2]\n", "expected a JSON object, got list")])
+def test_summary_reads_strictly(tmp_path, text, problem):
+    path = tmp_path / "summary.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: {problem}")):
+        artifacts.read_summary(path)
+
+
+@pytest.mark.parametrize("data, problem", [
+    (b'{"restart": 1, "restart": 2}\n', "line 2: repeated key 'restart'"),
+    (b"{]\n", "line 2: Expecting property name"),
+    (b"\xff\xfe\n", "line 2: 'utf-8' codec can't decode byte 0xff")])
+def test_log_reads_strictly_and_names_the_line(tmp_path, data, problem):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"restart": 1}\n' + data)
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: {problem}")):
+        artifacts.read_log(path)
 
 
 def test_writes_are_atomic_no_temp_left_behind(tmp_path):

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import textwrap
 from xml.etree import ElementTree
 
@@ -10,6 +12,7 @@ import pytest
 
 from tshc import artifacts, cli
 from tshc.cli import main
+from tshc.config import ConfigError
 from tshc.tasks import DEFAULT_VEHICLE_TOL, pendulum_tasks
 
 TRIVIAL_YAML = """
@@ -472,10 +475,15 @@ def test_setpoint_parsing_accepts_units(tmp_path):
                                            ("t,x\n0,1.0\n1,2.0\n", "t, x and y"),
                                            ("t,x,y\n0,0.0,0.0\n1,nan,1.0\n",
                                             "line 3: expected finite values"),
-                                           ("t,x,y\n0,0.0,-inf\n", "line 2: expected finite")])
+                                           ("t,x,y\n0,0.0,-inf\n", "line 2: expected finite"),
+                                           (b"\xff\xfet,x,y\n0,0.0,0.0\n",
+                                            "can't decode byte 0xff")])
 def test_plot_malformed_trajectory_csv_exits_two(tmp_path, capsys, text, problem):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     with pytest.raises(SystemExit) as err:
         main(["plot", str(path), "-o", str(tmp_path / "p.svg")])
     assert err.value.code == 2
@@ -698,7 +706,7 @@ def test_cart_pole_checkpoint_without_replay_recipe_falls_back_to_pendulum4(tmp_
                  "--tasks", str(out / TASKS), "--output-dir", str(out)]) == 0
 
 
-def test_plot_writes_its_svg_atomically(tmp_path, monkeypatch):
+def test_plot_writes_its_svg_atomically(tmp_path, monkeypatch, capsys):
     # a write that fails at the rename leaves neither the SVG nor a temp
     # file; one that succeeds gives the SVG the mode a plain open would
     csv = tmp_path / "run.csv"
@@ -709,8 +717,10 @@ def test_plot_writes_its_svg_atomically(tmp_path, monkeypatch):
         raise OSError("rename refused")
 
     monkeypatch.setattr(artifacts.os, "replace", refuse)
-    with pytest.raises(OSError, match="rename refused"):
+    with pytest.raises(SystemExit) as err:
         main(["plot", str(csv), "-o", str(plots / "p.svg")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: rename refused\n"
     assert list(plots.iterdir()) == []
     monkeypatch.undo()
     assert main(["plot", str(csv), "-o", str(plots / "p.svg")]) == 0
@@ -842,3 +852,36 @@ def test_train_artifact_bytes_are_unchanged(tmp_path):
         "8701dfd5992d6e4584baf649d69cf04c839cf55fdf1f9eca7d376411a927b242")
     assert hashlib.sha256((out / CHECKPOINT).read_bytes()).hexdigest() == (
         "7bdf588a356d75e02b95b32021913ec32c4fa1a32cd0e6506f03e07f04866544")
+
+
+def test_unwritable_output_dir_exits_two_without_traceback(tmp_path):
+    # an output directory under a regular file cannot be made: one error
+    # line and exit 2, where exit 1 would mean an unsolved task
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "tshc.cli", "train",
+                           write_config(tmp_path, TRIVIAL_YAML),
+                           "--output-dir", str(blocker / "out"), "--workers", "1"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_an_error_that_is_not_bad_input_keeps_its_traceback(tmp_path, monkeypatch):
+    # main reports ConfigError and OSError only; a plain ValueError from
+    # inside a command is a fault of the program and propagates
+    _, out = train(tmp_path, TRIVIAL_YAML)
+
+    def broken(*args, **kwargs):
+        raise ValueError("not bad input")
+
+    monkeypatch.setattr(cli, "rollout", broken)
+    with pytest.raises(ValueError, match="not bad input") as err:
+        main(["replay", str(out / "checkpoint_seed3.json"), "--task", "freeform",
+              "--tasks", str(out / "tasks_seed3.json"), "--output-dir", str(out)])
+    assert not isinstance(err.value, ConfigError)
