@@ -15,6 +15,7 @@ file name embeds the run seed.
 
 import argparse
 import dataclasses
+import functools
 import os
 import re
 import sys
@@ -37,9 +38,10 @@ def cmd_train(args):
     ckpt_path = os.path.join(out, f"checkpoint_seed{seed}.json")
     summary_path = os.path.join(out, f"summary_seed{seed}.json")
     artifacts.write_task_list(task_path, run.task_list)
-    # a run that never finds a crash-free candidate writes no checkpoint, so
-    # an older run's must not stay behind to be replayed
-    for stale in (log_path, ckpt_path):
+    # a run that never finds a crash-free candidate writes no checkpoint, and
+    # one that is interrupted writes no summary, so an older run's must not
+    # stay behind to be replayed or read
+    for stale in (log_path, ckpt_path, summary_path):
         if os.path.exists(stale):
             os.unlink(stale)
 
@@ -232,7 +234,9 @@ def cmd_plot(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``tshc`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tshc",
         description="Encode motion-primitive tasks in small neural-network "
@@ -245,7 +249,6 @@ def build_parser():
                          help="candidate-evaluation processes "
                               "(default: available parallelism)")
     p_train.add_argument("--output-dir", default=None)
-    p_train.set_defaults(func=cmd_train)
 
     p_replay = sub.add_parser("replay", help="replay a checkpoint")
     p_replay.add_argument("checkpoint")
@@ -257,14 +260,12 @@ def build_parser():
                           help="via steering mirroring: replay the task's x-axis "
                                "reflection, or serve the setpoint from a reflected goal")
     p_replay.add_argument("--output-dir", default=None)
-    p_replay.set_defaults(func=cmd_replay)
 
     p_plot = sub.add_parser("plot", help="render trajectories as SVG")
     p_plot.add_argument("inputs", nargs="*", help="trajectory CSV files")
     p_plot.add_argument("--checkpoint", default=None)
     p_plot.add_argument("--tasks", default=None)
     p_plot.add_argument("-o", "--output", required=True)
-    p_plot.set_defaults(func=cmd_plot)
     return parser
 
 
@@ -272,7 +273,8 @@ def main(argv=None):
     """Run one command; bad input or an unreadable or unwritable file exits 2."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up when called, so a wrapper on ``cli.cmd_*`` is what runs
+        return globals()["cmd_" + args.command](args)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

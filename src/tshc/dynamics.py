@@ -188,15 +188,19 @@ def step_bicycle_arrays(pose, v, delta, params: VehicleParams, out=None):
     """One Euler step of the kinematic bicycle model.
 
     ``pose`` holds x, y and psi as its rows, elementwise over the lanes;
-    the next pose is written to ``out`` (a new array by default).
+    the next pose is written to ``out`` (a new array by default), which
+    must not overlap ``pose``.  x and y move as one (2, lanes) pair,
+    ``pose[:2] + (Ts * v) * (cos psi, sin psi)``.
     """
-    x, y, psi = pose
+    psi = pose[2]
     if out is None:
         out = np.empty(np.shape(pose))
     a = params.arrays
-    tv = a.Ts * v
-    np.add(x, tv * np.cos(psi), out=out[0])
-    np.add(y, tv * np.sin(psi), out=out[1])
+    xy = out[:2]
+    np.cos(psi, out=out[0])
+    np.sin(psi, out=out[1])
+    np.multiply(a.Ts * v, xy, out=xy)
+    np.add(pose[:2], xy, out=xy)
     np.add(psi, a.Ts * (v / a.l_f) * np.tan(delta), out=out[2])
     wrap_angle(out[2], out=out[2])
     return out

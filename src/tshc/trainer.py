@@ -172,6 +172,9 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     # lanes only, in slot order; ``live`` maps the slots to their lanes, and
     # a lane's results are written when it retires
     live = np.arange(lanes)
+    # until a retirement moves a slot, ``live`` is arange(live.size), and a
+    # recorded step writes its rows through a slice, not an index array
+    moved = False
     last_raw = np.zeros(lanes)
     run = np.zeros(lanes, dtype=np.int64)
     path = np.zeros(lanes)
@@ -182,7 +185,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
 
     def retire(gone, n_steps, outcome=None):
         # drops the lanes ``gone``, flagged in ``outcome``; True once none is left
-        nonlocal live, S, obs, layers, private, consts, goal_run, last_raw, run, path
+        nonlocal live, moved, S, obs, layers, private, consts, goal_run, last_raw, run, path
         rows = live[gone]
         if outcome is not None:
             outcome[rows] = True
@@ -200,6 +203,8 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         keep = np.arange(m)
         keep[holes] = movers
         live = live[keep]
+        if holes.size:
+            moved = True
         S = S[:, keep]
         obs = obs[:, keep]
         if holes.size and not private:
@@ -239,8 +244,9 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         crash |= ~np.isfinite(S_next).all(0)  # a NaN control makes the pose NaN
         path -= step  # P is minus the distance travelled
         if record:
-            rec[t, live, :k] = S[:k].T
-            rec[t, live, k:] = controls.T
+            slots = live if moved else slice(live.size)
+            rec[t, slots, :k] = S[:k].T
+            rec[t, slots, k:] = controls.T
         S = S_next
         last_raw = raw[:, -1]
         if np.count_nonzero(crash) and retire(crash, t + 1, crashed):

@@ -101,6 +101,43 @@ def test_train_without_a_crash_free_candidate_removes_the_old_checkpoint(tmp_pat
     assert err.value.code == 2
 
 
+def test_interrupted_train_leaves_no_older_summary(tmp_path, monkeypatch):
+    # a run stopped before it writes its summary must not leave an older
+    # run's summary, of the same seed and directory, next to its own task file
+    code, out = train(tmp_path, TRIVIAL_YAML)
+    assert code == 0 and (out / "summary_seed3.json").exists()
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "tshc_run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        train(tmp_path, TRIVIAL_YAML)
+    assert (out / "tasks_seed3.json").exists()
+    assert not (out / "summary_seed3.json").exists()
+
+
+def test_main_runs_twice_in_one_process_through_the_module_commands(tmp_path,
+                                                                     monkeypatch):
+    # the parser is built once per process, and each call runs the command
+    # function the module holds when it is called, so a wrapper installed
+    # on ``cli.cmd_replay`` after a first command is the one that runs
+    code, out = train(tmp_path, TRIVIAL_YAML)
+    assert code == 0
+    seen = []
+
+    def wrapped(args):
+        seen.append(args.setpoint)
+        return real(args)
+    real = cli.cmd_replay
+    monkeypatch.setattr(cli, "cmd_replay", wrapped)
+    argv = ["replay", str(out / "checkpoint_seed3.json"), "--setpoint", "0,0,0,0",
+            "--output-dir", str(tmp_path / "replay")]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert seen == ["0,0,0,0", "0,0,0,0"]
+    assert (tmp_path / "replay" / "replay_setpoint_seed3.csv").exists()
+
+
 def test_train_config_error_exits_two(tmp_path):
     path = write_config(tmp_path, TRIVIAL_YAML.replace("seed: 3", "seed: nope"))
     with pytest.raises(SystemExit) as err:

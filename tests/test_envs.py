@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tshc import reward
-from tshc.dynamics import ActuatorLimits, PendulumParams, VehicleParams, crash_check_arrays
+from tshc.dynamics import (ActuatorLimits, PendulumParams, VehicleParams, crash_check_arrays,
+                           step_bicycle_arrays)
 from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.plotting import render_svg
 from tshc.policy import MlpSpec, param_count
@@ -173,6 +174,32 @@ STEP_LANES = [(1.0, 0.5, -math.pi, 2.0, 0.1), (1.2, 0.5, math.pi, 2.5, 0.0),
               (0.0, -math.inf, 0.0, 0.0, 0.0), (1.5, 0.0, 0.1, 0.0, 0.0),
               (6.0, 0.0, 0.0, 0.0, 0.0), (-2.5, 2.5, 3.0, -1.0, -0.2),
               (-2.0, 0.0, -math.pi, 0.1, 0.0)]
+
+
+def test_bicycle_step_equals_its_formula():
+    # step_bicycle_arrays against the Euler step written out per coordinate
+    # on the STEP_LANES poses (headings at +-pi, NaN and inf positions), with
+    # finite and non-finite controls: equal bits, NaN payloads included, so
+    # NaN exactly where the formula gives NaN
+    pose = np.array(STEP_LANES).T[:3]
+    v = np.array([2.0, -1.5, 0.0, 3.0, 1.0, math.nan, math.inf, -2.0, 0.5])
+    delta = np.array([0.1, -0.3, 0.2, 0.0, math.inf, 0.0, 0.1, -0.5, math.nan])
+    Ts, l_f = 0.1, 2.7
+    params = VehicleParams(Ts=Ts, l_f=l_f)
+    x, y, psi = pose
+    with np.errstate(invalid="ignore"):
+        heading = psi + Ts * (v / l_f) * np.tan(delta)
+        expected = np.stack([
+            x + (Ts * v) * np.cos(psi),
+            y + (Ts * v) * np.sin(psi),
+            heading - 2.0 * math.pi * np.ceil((heading - math.pi) / (2.0 * math.pi))])
+        out = np.empty(pose.shape)
+        assert step_bicycle_arrays(pose, v, delta, params, out=out) is out
+        fresh = step_bicycle_arrays(pose, v, delta, params)
+    for got in (out, fresh):
+        assert got.tobytes() == expected.tobytes()
+    assert np.isnan(expected).any() and np.isfinite(expected).any()
+    assert np.isfinite(expected[:, :2]).all()
 
 
 @pytest.mark.parametrize("case", ["one-task", "folded", "compacted"])

@@ -180,11 +180,17 @@ def test_batch_rollout_compaction_is_lane_exact():
     assert mixed >= 8
 
 
-def _retires_out_of_order(steps):
-    """Whether some lane retires before a lane of higher index, so that a
-    retirement moves a survivor into a lower slot."""
+def _first_slot_move(steps):
+    """The step count at which some lane first retires before a lane of
+    higher index, so that a retirement moves a survivor into a lower slot;
+    None if the lanes retire in index order."""
     later = np.maximum.accumulate(steps[::-1])[::-1]
-    return bool(np.any(steps[:-1] < later[1:]))
+    early = steps[:-1][steps[:-1] < later[1:]]
+    return int(early.min()) if early.size else None
+
+
+def _retires_out_of_order(steps):
+    return _first_slot_move(steps) is not None
 
 
 def _wide_cases():
@@ -417,7 +423,9 @@ def _fold_cases():
 def test_folded_lanes_match_single_task_rollouts(case):
     # lanes are (task, candidate) pairs; each must equal its task rolled out
     # alone on one lane, bit for bit: the five outputs, the terminal column
-    # and the recorded trajectory
+    # and the recorded trajectory, pose and controls; a recorded step writes
+    # through slices until a retirement first moves a slot and by lane index
+    # after it, and both happen inside each run
     _, env, task_list, t_max, mirrors = next(c for c in _fold_cases() if c[0] == case)
     spec = MlpSpec((RECIPE_DIMS[task_list[0].feature_recipe], 6, env.control_dim))
     rng = np.random.default_rng(5)
@@ -427,6 +435,7 @@ def test_folded_lanes_match_single_task_rollouts(case):
     for mirror in mirrors:
         out = batch_rollout(thetas, spec, task_list, env, t_max, 1, record=True, mirror=mirror)
         assert len(out[0]) == len(out[5]) == len(task_list) * n
+        assert 0 < _first_slot_move(out[4]) < out[4].max()
         for k, task in enumerate(task_list):
             for i in range(n):
                 lane = k * n + i
