@@ -144,10 +144,8 @@ def read_log(path):
 
 def write_trajectory_csv(path, columns, rows):
     """Rows of an int step and Python floats, as ``rollout`` records them."""
-    lines = [",".join(columns)]
-    for t, *values in rows:
-        lines.append(",".join([str(t), *map(repr, values)]))
-    atomic_write(path, "\n".join(lines) + "\n")
+    row = "%d" + ",%r" * (len(columns) - 1)
+    atomic_write(path, "\n".join([",".join(columns), *(row % r for r in rows)]) + "\n")
 
 
 def read_trajectory_csv(path):
@@ -156,19 +154,20 @@ def read_trajectory_csv(path):
     not one raises a ``ConfigError`` that names it."""
     with open(path) as fh:
         try:
-            lines = [line.strip() for line in fh if line.strip()]
+            # blank lines are skipped, and a row keeps its line number
+            lines = [(i, line.strip()) for i, line in enumerate(fh, 1) if line.strip()]
         except ValueError as exc:  # bytes that are not text
             raise ConfigError(f"{path}: {exc}") from None
     if not lines:
         raise ConfigError(f"{path}: empty trajectory file")
-    columns = tuple(lines[0].split(","))
+    columns = tuple(lines[0][1].split(","))
     if len(columns) < 3:
         raise ConfigError(f"{path}: expected at least the columns t, x and y, "
                           f"got {','.join(columns)}")
     if len(lines) == 1:
         raise ConfigError(f"{path}: trajectory file has no rows")
     rows = []
-    for i, line in enumerate(lines[1:], 2):
+    for i, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(columns):
             raise ConfigError(f"{path}: line {i} has {len(parts)} values, "

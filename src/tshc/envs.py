@@ -13,17 +13,19 @@ batch with one column selection.  ``constants`` gathers what a rollout
 needs at every step once per call: goal and tolerance columns (one per
 lane, whatever the number of tasks; the goal's only representation),
 feature scales, control bounds and, for a constant-margin VVC, the control
-box near the goal.  A step observes the state once, ``observe``: the
-vehicle's goal difference, heading wrapped, or the cart-pole's state
-itself; the goal test, the features and the control box with VVC all read
-it, and the goal test is one comparison of the (3, lanes) goal errors with
-the tolerance columns.  The vehicle's control box is one
-intersection per step, ``control_intervals``, of the rate box around the
-previous controls with an absolute box: the actuator limits, or near the
-goal the VVC box clipped into them (picked per lane for a constant margin,
-built per step for a spatial one).  Each lane is computed independently,
-so results are bit-identical no matter how candidates and tasks are
-grouped into batches.
+box near the goal.  A step observes the state once, ``observe``: for the
+vehicle a (7, lanes) matrix, the goal difference (heading wrapped) in rows
+0-3 and its errors (distance, |d_psi|, |d_v|) in rows 4-6; for the
+cart-pole its state itself.  The goal test, the features and the control
+box with VVC all read it: the goal test is one comparison of the error
+rows with the tolerance columns, the features read the difference rows
+and the VVC reads the distance row, so a step forms each goal quantity
+once.  The vehicle's control box is one intersection per step,
+``control_intervals``, of the rate box around the previous controls with
+an absolute box: the actuator limits, or near the goal the VVC box clipped
+into them (picked per lane for a constant margin, built per step for a
+spatial one).  Each lane is computed independently, so results are
+bit-identical no matter how candidates and tasks are grouped into batches.
 """
 
 from dataclasses import dataclass, replace
@@ -124,27 +126,29 @@ class VehicleEnv:
         return S
 
     def observe(self, S, c):
-        """The goal difference of the state rows ``S``, read by the step."""
-        return reward.goal_difference(S[:4], c.goal)
+        """(7, lanes) observation of the state rows ``S``, read by the step:
+        the goal difference in rows 0-3, its errors in rows 4-6."""
+        obs = np.empty((7, S.shape[1]))
+        reward.goal_errors(reward.goal_difference(S[:4], c.goal, out=obs[:4]), out=obs[4:])
+        return obs
 
     def goal_mask(self, obs, c):
-        return np.logical_and.reduce(reward.goal_errors(obs) < c.tol, axis=0)
+        return np.logical_and.reduce(obs[4:] < c.tol, axis=0)
 
     def features_arrays(self, obs, c, last_raw, out=None):
         steer = last_raw if c.recipe == tasks.GOAL5 else None
-        return tasks.vehicle_features(obs, c.scale, steer, out)
+        return tasks.vehicle_features(obs[:4], c.scale, steer, out)
 
     def apply_arrays(self, S, raw, c, obs):
         """Next state, applied controls (its v and delta rows), step length
         and crash flag of one step from ``S``, whose observation is ``obs``."""
         lo, hi, step_lo, step_hi = c.bounds
         if self.vvc.mode == reward.VVC_CONSTANT:
-            far = np.hypot(obs[0], obs[1]) >= self.vvc.arrays.r_thresh
+            far = obs[4] >= self.vvc.arrays.r_thresh
             lo, hi = np.where(far, lo, c.near[0]), np.where(far, hi, c.near[1])
         elif self.vvc.mode == reward.VVC_SPATIAL:
             lim = self.limits
-            v_lo, v_hi = reward.vvc_bounds(np.hypot(obs[0], obs[1]), c.goal[3],
-                                           lim.v_min, lim.v_max, self.vvc)
+            v_lo, v_hi = reward.vvc_bounds(obs[4], c.goal[3], lim.v_min, lim.v_max, self.vvc)
             lo, hi = np.where(_V_ROW, v_lo, lo), np.where(_V_ROW, v_hi, hi)
         lo, hi = control_intervals(S[3:], (lo, hi, step_lo, step_hi))
         nxt = np.empty(S.shape)

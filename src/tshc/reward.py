@@ -59,22 +59,24 @@ class Reward:
     crashed: bool = False
 
 
-def goal_difference(z, goal):
+def goal_difference(z, goal, out=None):
     """``goal - z`` with its heading row wrapped in place.
 
     ``z`` and ``goal`` hold (x, y, psi, v) along their first axis and
     broadcast against each other: a (4, lanes) state matrix with a (4, 1)
-    goal column, or a (4, 1) point against a (4, m) set of goals.
+    goal column, or a (4, 1) point against a (4, m) set of goals.  Writes
+    to ``out`` when given.
     """
-    d = goal - z
+    d = np.subtract(goal, z, out=out)
     wrap_angle(d[2], out=d[2])
     return d
 
 
-def goal_errors(d):
+def goal_errors(d, out=None):
     """(3, lanes) position, heading and velocity errors of a goal
-    difference ``d`` of ``goal_difference``."""
-    e = np.abs(d[1:])  # |d_psi| and |d_v| in rows 1 and 2; row 0 is replaced
+    difference ``d`` of ``goal_difference``; writes to ``out``, which must
+    not overlap ``d``, when given."""
+    e = np.abs(d[1:], out=out)  # |d_psi| and |d_v| in rows 1 and 2; row 0 is replaced
     np.hypot(d[0], d[1], out=e[0])
     return e
 

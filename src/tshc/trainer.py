@@ -139,6 +139,8 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     applied when leaving it, then the terminal pose with the last controls
     (zeros if the lane never stepped); without it they are None.
     """
+    if t_goal < 1:
+        raise ValueError(f"t_goal must be >= 1, got {t_goal!r}")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
     # a retirement moves weight slots in place, so the stack must be the
@@ -230,10 +232,16 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
             timed_out = lane_horizon[live] == t
             if np.count_nonzero(timed_out) and retire(timed_out, t):
                 break
-        run = (run + 1) * env.goal_mask(obs, consts)
-        done = run >= goal_run
-        if np.count_nonzero(done) and retire(done, t, success):
-            break
+        # a goal run (t_goal >= 1 steps) ends only at a step at the goal, so
+        # a step with no lane at its goal just resets every run
+        reached = env.goal_mask(obs, consts)
+        if np.count_nonzero(reached):
+            run = (run + 1) * reached
+            done = run >= goal_run
+            if np.count_nonzero(done) and retire(done, t, success):
+                break
+        else:
+            run.fill(0)
         feats = env.features_arrays(obs, consts, last_raw, features[:live.size])
         if mirror:
             feats = tasklib.mirror_features(feats, consts.recipe)
@@ -241,7 +249,10 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         if mirror:
             raw = tasklib.mirror_control(raw)
         S_next, controls, step, crash = env.apply_arrays(S, raw, consts, obs)
-        crash |= ~np.isfinite(S_next).all(0)  # a NaN control makes the pose NaN
+        # a NaN control makes the pose NaN; the per-lane test runs only
+        # when some lane is not finite
+        if not np.isfinite(S_next).all():
+            crash |= ~np.isfinite(S_next).all(0)
         path -= step  # P is minus the distance travelled
         if record:
             slots = live if moved else slice(live.size)

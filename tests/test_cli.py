@@ -512,6 +512,8 @@ def test_setpoint_parsing_accepts_units(tmp_path):
                                            ("t,x\n0,1.0\n1,2.0\n", "t, x and y"),
                                            ("t,x,y\n0,0.0,0.0\n1,nan,1.0\n",
                                             "line 3: expected finite values"),
+                                           ("t,x,y\n0,1.0,2.0\n\n\n1,1.0,bad\n",
+                                            "line 5: could not convert"),
                                            ("t,x,y\n0,0.0,-inf\n", "line 2: expected finite"),
                                            (b"\xff\xfet,x,y\n0,0.0,0.0\n",
                                             "can't decode byte 0xff")])

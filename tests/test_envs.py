@@ -224,9 +224,10 @@ def test_step_pieces_equal_textbook_formulas(case, monkeypatch):
         d = goal - S[:4]
         d[2] = d[2] - 2.0 * math.pi * np.ceil((d[2] - math.pi) / (2.0 * math.pi))
         obs = env.observe(S, c)
-        assert np.array_equal(obs, d, equal_nan=True)
+        assert np.array_equal(obs[:4], d, equal_nan=True)
         assert np.all((-math.pi < d[2]) & (d[2] <= math.pi))
         e_d = np.hypot(d[0], d[1])
+        assert np.array_equal(obs[4:], [e_d, np.abs(d[2]), np.abs(d[3])], equal_nan=True)
         reached = (e_d < tol[0]) & (np.abs(d[2]) < tol[1]) & (np.abs(d[3]) < tol[2])
         assert np.array_equal(env.goal_mask(obs, c), reached)
         assert reached.any() and not reached.all()

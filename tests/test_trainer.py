@@ -272,6 +272,25 @@ def test_one_lane_step_wraps_the_goal_difference_once(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [VVC_CONSTANT, VVC_SPATIAL])
+def test_one_lane_step_forms_the_goal_distance_once(monkeypatch, mode):
+    # a one-lane rollout that meets its goal after k steps forms the goal
+    # errors once per goal test (k + 1), and the VVC reads their distance
+    # row: the only other hypot is each step's length (k)
+    from tshc import reward
+    calls = {"goal_errors": 0, "hypot": 0}
+    monkeypatch.setattr(reward, "goal_errors",
+                        counted(calls, "goal_errors", reward.goal_errors))
+    monkeypatch.setattr(np, "hypot", counted(calls, "hypot", np.hypot))
+    task = freeform_task((0, 0, 0, 0), (1.0, 0, 0, 0), Tolerances(0.5, 3.0, 3.0))
+    theta = np.full(param_count(SPEC4), 50.0)  # saturated: full throttle
+    env = VehicleEnv(VehicleParams(Ts=0.1), vvc=VvcConfig(mode, r_thresh=0.8))
+    res = rollout(theta, task, env, SPEC4, 50)
+    k = res.steps
+    assert res.success == 1 and k > 1
+    assert calls == {"goal_errors": k + 1, "hypot": 2 * k + 1}
+
+
+@pytest.mark.parametrize("mode", [VVC_CONSTANT, VVC_SPATIAL])
 @pytest.mark.parametrize("task_count", [1, 3])
 def test_vvc_box_is_built_once_per_constant_margin_rollout(monkeypatch, mode, task_count):
     # the constant-margin box is the same everywhere inside r_thresh: one
@@ -342,37 +361,49 @@ def test_batch_rollout_goal_run_resets():
         assert j[0] == -(steps + success)
 
 
-class NonFiniteLaneEnv(ScriptedGoalEnv):
-    """Scripted env whose state rows are the step count and the lane index;
-    lane ``lane`` goes NaN on step ``at``, and no lane reaches its goal."""
+def test_batch_rollout_refuses_a_success_window_below_one():
+    # a goal run ends only at a goal step, which a window of 0 would not need
+    task = freeform_task((0, 0, 0, 0), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="t_goal must be >= 1"):
+        batch_rollout(np.zeros(2), MlpSpec((1, 1)), [task], ScriptedGoalEnv(()), 5, 0)
 
-    def __init__(self, lane, at):
+
+class NonFiniteLaneEnv(ScriptedGoalEnv):
+    """Scripted env whose state rows are the step count, the lane index and
+    a zero row; row ``row`` of lane ``lane`` becomes ``value`` on step
+    ``at``, and no lane reaches its goal."""
+
+    def __init__(self, lane, at, row=0, value=np.nan):
         super().__init__(())
-        self.lane, self.at = lane, at
+        self.lane, self.at, self.row, self.value = lane, at, row, value
 
     def init_arrays(self, task_list, n):
         lanes = len(task_list) * n
-        return np.array([np.zeros(lanes), np.arange(lanes, dtype=float)])
+        return np.array([np.zeros(lanes), np.arange(lanes, dtype=float), np.zeros(lanes)])
 
     def goal_mask(self, obs, c):
         return np.zeros(obs.shape[1], dtype=bool)
 
     def apply_arrays(self, S, raw, c, obs):
-        nxt = S + [[1.0], [0.0]]
-        nxt[0, (S[1] == self.lane) & (nxt[0] == self.at)] = np.nan
+        nxt = S + [[1.0], [0.0], [0.0]]
+        nxt[self.row, (S[1] == self.lane) & (nxt[0] == self.at)] = self.value
         return nxt, raw.T, np.ones(S.shape[1]), np.zeros(S.shape[1], dtype=bool)
 
 
 def test_batch_rollout_retires_a_non_finite_lane_as_crashed():
-    # the rollout, not the env, flags a non-finite state: the lane retires
-    # crashed at the step its state went NaN, and the other lanes run on
+    # the rollout, not the env, flags a non-finite state, whatever its row
+    # and whether NaN or an infinity: the lane retires crashed at the step
+    # its state went non-finite, and the other lanes run on
     task = freeform_task((0, 0, 0, 0), (0, 0, 0, 0))
-    s, p, _, crashed, steps, _, end = batch_rollout(
-        np.zeros((2, 2)), MlpSpec((1, 1)), [task, task], NonFiniteLaneEnv(2, 4), 9, 1)
-    assert crashed.tolist() == [False, False, True, False]
-    assert steps.tolist() == [9, 9, 4, 9]
-    assert s.tolist() == [0] * 4 and p.tolist() == [-9.0, -9.0, -4.0, -9.0]
-    assert np.isnan(end[0, 2]) and np.isfinite(np.delete(end, 2, axis=1)).all()
+    for row, value in [(0, np.nan), (1, np.inf), (2, -np.inf), (2, np.nan), (0, np.inf)]:
+        s, p, _, crashed, steps, _, end = batch_rollout(
+            np.zeros((2, 2)), MlpSpec((1, 1)), [task, task],
+            NonFiniteLaneEnv(2, 4, row, value), 9, 1)
+        assert crashed.tolist() == [False, False, True, False], (row, value)
+        assert steps.tolist() == [9, 9, 4, 9]
+        assert s.tolist() == [0] * 4 and p.tolist() == [-9.0, -9.0, -4.0, -9.0]
+        assert np.array_equal(end[row, 2], value, equal_nan=True)
+        assert np.isfinite(np.delete(end, 2, axis=1)).all()
     # with the real plants a NaN parameter vector makes a NaN control, whose
     # pose is NaN after the first step
     for env, task in [(VehicleEnv(), freeform_task((0, 0, 0, 0), (5, 0, 0, 0))),
