@@ -32,7 +32,8 @@ from .trainer import rollout, tshc_run
 def cmd_train(args):
     run = load_run_config(args.config, workers=args.workers, output_dir=args.output_dir)
     out = run.output_dir
-    seed = run.seed
+    cfg = run.training
+    seed = cfg.seed
     task_path = os.path.join(out, f"tasks_seed{seed}.json")
     log_path = os.path.join(out, f"train_log_seed{seed}.jsonl")
     ckpt_path = os.path.join(out, f"checkpoint_seed{seed}.json")
@@ -45,7 +46,6 @@ def cmd_train(args):
         if os.path.exists(stale):
             os.unlink(stale)
 
-    cfg = run.training
     replay_meta = dump(dataclasses.replace(run.task_list[0], t_max=cfg.t_max,
                                            t_goal=cfg.t_goal), REPLAY)
 

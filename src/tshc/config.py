@@ -226,7 +226,6 @@ _TRAINING = _same_names(
 
 @dataclass
 class RunConfig:
-    seed: int
     output_dir: str
     spec: MlpSpec
     env: object
@@ -349,9 +348,8 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
         load(config_dir, str, "config.output_dir")
     if output_dir is None:
         output_dir = config_dir or os.environ.get(DEFAULT_OUTPUT_ENV_VAR, "runs")
-    return RunConfig(seed=seed, output_dir=output_dir, spec=spec, env=env,
-                     norm=norm, task_list=task_list, training=training,
-                     env_config=env_config)
+    return RunConfig(output_dir=output_dir, spec=spec, env=env, norm=norm,
+                     task_list=task_list, training=training, env_config=env_config)
 
 
 def env_from_config(env_config, normalization=None):

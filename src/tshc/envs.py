@@ -9,14 +9,16 @@ goal coordinates in ``Task.z_goal`` order.  The lanes of one rollout are
 k * n + i runs task k with candidate i, so one rollout serves a whole task
 list.  Every method works for a batch of lanes in lockstep, and for one
 lane during replay; each row is contiguous, so a lane drops out of the
-batch with one column selection.  ``constants`` gathers what a rollout
-needs at every step once per call: goal and tolerance columns (one per
-lane, whatever the number of tasks; the goal's only representation),
-feature scales, control bounds and, for a constant-margin VVC, the control
-box near the goal.  A step observes the state once, ``observe``: for the
-vehicle a (7, lanes) matrix, the goal difference (heading wrapped) in rows
-0-3 and its errors (distance, |d_psi|, |d_v|) in rows 4-6; for the
-cart-pole its state itself.  The goal test, the features and the control
+batch with one column selection.  ``constants`` gathers the lanes' columns
+once per call: goal and tolerance columns (one per lane, whatever the
+number of tasks; the goal's only representation) and, for a
+constant-margin VVC, the control box near the goal.  What no lane varies,
+the feature-scale column and the vehicle's control bounds, an env builds
+once in ``__init__``; its params, limits and norm are fixed.  A step
+observes the state once, ``observe``: for the vehicle a (7, lanes)
+matrix, the goal difference (heading wrapped) in rows 0-3 and its errors
+(distance, |d_psi|, |d_v|) in rows 4-6; for the cart-pole its state
+itself.  The goal test, the features and the control
 box with VVC all read it: the goal test is one comparison of the error
 rows with the tolerance columns, the features read the difference rows
 and the VVC reads the distance row, so a step forms each goal quantity
@@ -42,7 +44,8 @@ from .reward import VvcConfig
 
 @dataclass(frozen=True)
 class RolloutConstants:
-    """Per-call constants of a rollout over a task list in one environment.
+    """Per-call constants of a rollout over a task list in one environment:
+    the lanes' columns and the feature recipe they share.
 
     ``goal`` and ``tol`` have a column per lane, the one representation of
     the goal that every step reads; ``tol`` holds eps_d, eps_psi and eps_v,
@@ -57,18 +60,15 @@ class RolloutConstants:
     recipe: str               # the feature recipe all tasks share
     goal: np.ndarray          # (4, lanes) goal columns
     tol: np.ndarray           # (3, lanes) eps_d, eps_psi and eps_v columns
-    scale: np.ndarray         # (4, 1) feature normalization column
-    bounds: tuple = ()        # vehicle: control_bounds columns of v and delta
     near: tuple = ()          # vehicle, constant-margin VVC: (2, lanes) box
 
     def compact(self, keep):
         """The constants of the lanes ``keep`` (indices into the live lanes)."""
         return RolloutConstants(self.recipe, self.goal[:, keep], self.tol[:, keep],
-                                self.scale, self.bounds,
                                 tuple(edge[:, keep] for edge in self.near))
 
 
-def _constants(task_list, n, scale, bounds=()):
+def _constants(task_list, n):
     recipes = {task.feature_recipe for task in task_list}
     if len(recipes) != 1:
         raise ValueError(f"the tasks of one rollout must share a feature recipe, "
@@ -76,7 +76,7 @@ def _constants(task_list, n, scale, bounds=()):
     goal = np.array([task.z_goal for task in task_list]).T
     tol = np.array([(t.tol.eps_d, t.tol.eps_psi, t.tol.eps_v) for t in task_list]).T
     return RolloutConstants(recipes.pop(), np.repeat(goal, n, axis=1),
-                            np.repeat(tol, n, axis=1), scale, bounds)
+                            np.repeat(tol, n, axis=1))
 
 
 # selects the v row of a (2, lanes) control box: a VVC narrows it only
@@ -102,17 +102,18 @@ class VehicleEnv:
         self.limits = limits
         self.vvc = vvc
         self.norm = norm
+        self.feature_scale = tasks.norm_column(norm)
+        self.control_bounds = control_bounds(limits, params.Ts)
 
     def constants(self, task_list, n):
         """Constants of a rollout of n candidates on each task of the list."""
-        c = _constants(task_list, n, tasks.norm_column(self.norm),
-                       control_bounds(self.limits, self.params.Ts))
+        c = _constants(task_list, n)
         if self.vvc.mode != reward.VVC_CONSTANT:
             return c
         # the constant-margin box is the same everywhere inside r_thresh
         lim = self.limits
         v_lo, v_hi = reward.vvc_bounds(0.0, c.goal[3], lim.v_min, lim.v_max, self.vvc)
-        lo, hi = c.bounds[:2]
+        lo, hi = self.control_bounds[:2]
         return replace(c, near=(np.where(_V_ROW, v_lo, lo), np.where(_V_ROW, v_hi, hi)))
 
     def init_arrays(self, task_list, n):
@@ -137,12 +138,12 @@ class VehicleEnv:
 
     def features_arrays(self, obs, c, last_raw, out=None):
         steer = last_raw if c.recipe == tasks.GOAL5 else None
-        return tasks.vehicle_features(obs[:4], c.scale, steer, out)
+        return tasks.vehicle_features(obs[:4], self.feature_scale, steer, out)
 
     def apply_arrays(self, S, raw, c, obs):
         """Next state, applied controls (its v and delta rows), step length
         and crash flag of one step from ``S``, whose observation is ``obs``."""
-        lo, hi, step_lo, step_hi = c.bounds
+        lo, hi, step_lo, step_hi = self.control_bounds
         if self.vvc.mode == reward.VVC_CONSTANT:
             far = obs[4] >= self.vvc.arrays.r_thresh
             lo, hi = np.where(far, lo, c.near[0]), np.where(far, hi, c.near[1])
@@ -169,10 +170,11 @@ class PendulumEnv:
                  norm: tasks.PendulumNorm = tasks.PendulumNorm()):
         self.params = params
         self.norm = norm
+        self.feature_scale = tasks.norm_column(norm)
 
     def constants(self, task_list, n):
         """Constants of a rollout of n candidates on each task of the list."""
-        return _constants(task_list, n, tasks.norm_column(self.norm))
+        return _constants(task_list, n)
 
     def init_arrays(self, task_list, n):
         """(4, tasks * n) state: p, p_dot, theta, theta_dot."""
@@ -186,7 +188,7 @@ class PendulumEnv:
         return np.abs(wrap_angle(obs[2] - c.goal[2])) < c.tol[1]
 
     def features_arrays(self, obs, c, last_raw, out=None):
-        return tasks.pendulum_features(obs, c.scale, out)
+        return tasks.pendulum_features(obs, self.feature_scale, out)
 
     def apply_arrays(self, S, raw, c, obs):
         """Next state, applied force as a (1, lanes) row, step length of the

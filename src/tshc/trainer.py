@@ -7,11 +7,13 @@ rollout with batched numpy: its lanes are (task, candidate) pairs in
 task-major order, the state is one (state_dim, lanes) matrix (see
 ``envs``), and the per-lane goal, tolerance, success-window and horizon
 columns are built once per rollout, in the same layout for one task as
-for many.  A lane that reaches its goal, crashes, goes non-finite (which
-retires it as crashed) or reaches its task's horizon is dropped from the
-working arrays and columns at once, so later steps compute only the live
-lanes; its step count and path length are written when it leaves, and
-its reward is the sparse one, -1 per goal test.
+for many.  Every lane leaves inside the step loop, by one retirement per
+cause: at its task's horizon (tested first, so no lane is goal-tested at
+its horizon), at a complete goal run, or after a step that crashed it or
+made its state non-finite (a crash; a step to a NaN pose has length 0).
+A retired lane is dropped from the working arrays at once, so later steps
+compute only the live lanes; its step count and path length are written
+when it leaves, and its reward is the sparse one, -1 per goal test.
 The working arrays hold the live lanes in slot order, which a retirement
 permutes: each survivor past the new lane count moves into the slot of a
 retired lane, so the weight stack copies only those survivors.  Every lane
@@ -141,14 +143,16 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     """
     if t_goal < 1:
         raise ValueError(f"t_goal must be >= 1, got {t_goal!r}")
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max!r}")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
     # a retirement moves weight slots in place, so the stack must be the
     # rollout's own: a tiled one is, while one task's layers are views of
     # the caller's thetas until the first retirement that moves a slot
     # copies the survivors
-    private = len(task_list) > 1
-    if private:
+    tiled = len(task_list) > 1
+    if tiled:
         thetas = np.tile(thetas, (len(task_list), 1))
     lanes = thetas.shape[0]
     layers = unflatten(thetas, spec)
@@ -169,10 +173,9 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         # then the controls
         rec = np.empty((T + 1, lanes, len(env.csv_columns) - 1))
         k = rec.shape[2] - env.control_dim
-    # the working arrays (S and its observation, layers, consts, goal_run,
-    # last_raw, run and the running path length) hold the live
-    # lanes only, in slot order; ``live`` maps the slots to their lanes, and
-    # a lane's results are written when it retires
+    # the working arrays (S and its observation, layers, consts, last_raw,
+    # run, path) hold the live lanes only, in slot order; ``live`` maps the
+    # slots to their lanes, and a lane's results are written when it retires
     live = np.arange(lanes)
     # until a retirement moves a slot, ``live`` is arange(live.size), and a
     # recorded step writes its rows through a slice, not an index array
@@ -187,7 +190,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
 
     def retire(gone, n_steps, outcome=None):
         # drops the lanes ``gone``, flagged in ``outcome``; True once none is left
-        nonlocal live, moved, S, obs, layers, private, consts, goal_run, last_raw, run, path
+        nonlocal live, moved, S, obs, layers, consts, last_raw, run, path
         rows = live[gone]
         if outcome is not None:
             outcome[rows] = True
@@ -205,13 +208,10 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         keep = np.arange(m)
         keep[holes] = movers
         live = live[keep]
-        if holes.size:
-            moved = True
         S = S[:, keep]
         obs = obs[:, keep]
-        if holes.size and not private:
+        if holes.size and not (tiled or moved):
             layers = [(w[keep], b[keep]) for w, b in layers]
-            private = True
         else:
             # only the movers' weights are copied; each layer is a view
             if holes.size:
@@ -219,25 +219,26 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
                     w[holes] = w[movers]
                     b[holes] = b[movers]
             layers = [(w[:m], b[:m]) for w, b in layers]
+        moved = moved or holes.size > 0
         consts = consts.compact(keep)
-        goal_run = goal_run[keep]
         last_raw = last_raw[keep]
         run = run[keep]
         path = path[keep]
         return not m
 
-    for t in range(T):
-        obs = env.observe(S, consts)
+    # the horizon test comes first: a lane is never goal-tested at its horizon
+    for t in range(T + 1):
         if t in stops:
             timed_out = lane_horizon[live] == t
             if np.count_nonzero(timed_out) and retire(timed_out, t):
                 break
+        obs = env.observe(S, consts)
         # a goal run (t_goal >= 1 steps) ends only at a step at the goal, so
         # a step with no lane at its goal just resets every run
         reached = env.goal_mask(obs, consts)
         if np.count_nonzero(reached):
             run = (run + 1) * reached
-            done = run >= goal_run
+            done = run >= goal_run[live]
             if np.count_nonzero(done) and retire(done, t, success):
                 break
         else:
@@ -250,9 +251,10 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
             raw = tasklib.mirror_control(raw)
         S_next, controls, step, crash = env.apply_arrays(S, raw, consts, obs)
         # a NaN control makes the pose NaN; the per-lane test runs only
-        # when some lane is not finite
+        # when some lane is not finite, and a step to a NaN pose has length 0
         if not np.isfinite(S_next).all():
             crash |= ~np.isfinite(S_next).all(0)
+            step[np.isnan(step)] = 0.0
         path -= step  # P is minus the distance travelled
         if record:
             slots = live if moved else slice(live.size)
@@ -262,7 +264,6 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         last_raw = raw[:, -1]
         if np.count_nonzero(crash) and retire(crash, t + 1, crashed):
             break
-    retire(np.ones(live.size, dtype=bool), T)  # lanes that timed out
     # the sparse reward is -1 per goal test: one per step, plus the test
     # that found a lane's goal run
     J = (-(steps + success)).astype(float)
@@ -344,11 +345,10 @@ def select_best(scores, current_best: BestSolution, n_tasks):
     improves, ``current_best`` itself is returned.
 
     ``argmax`` matches a strict ``>`` scan only without NaN, and no score
-    is NaN: a lane is dropped the step its state goes non-finite, the
-    position rows that feed a step's path length come from the previous,
-    finite state, and the reward counts goal tests.  So pathlength is
-    finite or -inf, reward is finite, and a tie at -inf keeps the lowest
-    index too.
+    is NaN: a lane is dropped the step its state goes non-finite, that
+    step's length counts as 0 if it is NaN (the pose it reached is NaN),
+    and the reward counts goal tests.  So pathlength is finite or -inf,
+    reward is finite, and a tie at -inf keeps the lowest index too.
     """
     scores = np.asarray(scores, dtype=float)
     if not len(scores):

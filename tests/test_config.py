@@ -79,7 +79,6 @@ def test_parse_quantity_units():
 
 def test_vehicle_config_loads(tmp_path):
     run = load_run_config(write(tmp_path, VEHICLE_YAML))
-    assert run.seed == 7
     assert run.spec.layer_sizes == (4, 64, 64, 2)
     assert isinstance(run.env, VehicleEnv)
     assert run.env.params.Ts == 0.1
@@ -260,7 +259,8 @@ def test_env_config_round_trip(tmp_path):
         run = load_run_config(write(tmp_path, text))
         path = tmp_path / "ckpt.json"
         artifacts.write_checkpoint(path, run.spec, np.zeros(param_count(run.spec)),
-                                   run.norm, run.task_list, run.env_config, run.seed)
+                                   run.norm, run.task_list, run.env_config,
+                                   run.training.seed)
         doc = artifacts.read_checkpoint(path)
         env = env_from_config(doc["env"], doc["normalization"])
         assert type(env) is type(run.env)

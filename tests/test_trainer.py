@@ -1,10 +1,12 @@
 import copy
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from tshc.artifacts import append_log_record
 from tshc.dynamics import PendulumParams, VehicleParams
 from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.policy import MlpSpec, init_params, param_count
@@ -347,12 +349,14 @@ class ScriptedGoalEnv:
 
 def test_batch_rollout_goal_run_resets():
     # t_goal = 3 consecutive goal steps: a 0 resets the run counter, and a
-    # run cut short by the horizon is no success
+    # run cut short by the horizon is no success, even one that would end
+    # on the horizon's own step, since a lane is not goal-tested there
     spec = MlpSpec((1, 1))
     task = freeform_task((0, 0, 0, 0), (0, 0, 0, 0))
     for flags, t_max, success, steps in [((1, 0, 1, 1, 1), 8, 1, 4),
                                          ((0, 1, 1, 1), 8, 1, 3),
                                          ((1, 1), 2, 0, 2),
+                                         ((1, 1, 1), 2, 0, 2),
                                          ((1, 1, 0, 1, 1), 5, 0, 5)]:
         s, _, j, _, n_steps, _, _ = batch_rollout(
             np.zeros(2), spec, [task], ScriptedGoalEnv(flags), t_max, 3)
@@ -366,6 +370,18 @@ def test_batch_rollout_refuses_a_success_window_below_one():
     task = freeform_task((0, 0, 0, 0), (0, 0, 0, 0))
     with pytest.raises(ValueError, match="t_goal must be >= 1"):
         batch_rollout(np.zeros(2), MlpSpec((1, 1)), [task], ScriptedGoalEnv(()), 5, 0)
+
+
+@pytest.mark.parametrize("t_max", [0, -3])
+def test_batch_rollout_refuses_a_horizon_below_one(t_max):
+    # a lane leaves at its horizon, which a horizon below 1 would put
+    # before the first step
+    task = freeform_task((0, 0, 0, 0), (0, 0, 0, 0))
+    env, spec = ScriptedGoalEnv(()), MlpSpec((1, 1))
+    with pytest.raises(ValueError, match="t_max must be >= 1"):
+        batch_rollout(np.zeros(2), spec, [task], env, t_max, 1)
+    with pytest.raises(ValueError, match="t_max must be >= 1"):
+        rollout(np.zeros(2), task, env, spec, t_max)
 
 
 class NonFiniteLaneEnv(ScriptedGoalEnv):
@@ -405,15 +421,37 @@ def test_batch_rollout_retires_a_non_finite_lane_as_crashed():
         assert np.array_equal(end[row, 2], value, equal_nan=True)
         assert np.isfinite(np.delete(end, 2, axis=1)).all()
     # with the real plants a NaN parameter vector makes a NaN control, whose
-    # pose is NaN after the first step
+    # pose is NaN after the first step; that step has length 0, not NaN
     for env, task in [(VehicleEnv(), freeform_task((0, 0, 0, 0), (5, 0, 0, 0))),
                       (PendulumEnv(), pendulum_tasks("swingup")[0])]:
         spec = MlpSpec((RECIPE_DIMS[task.feature_recipe], 3, env.control_dim))
         thetas = np.zeros((2, param_count(spec)))
         thetas[1, 0] = np.nan
         with np.errstate(invalid="ignore"):
-            _, _, _, crashed, steps, _, _ = batch_rollout(thetas, spec, [task], env, 5, 1)
+            _, p, _, crashed, steps, _, _ = batch_rollout(thetas, spec, [task], env, 5, 1)
         assert crashed.tolist() == [False, True] and steps.tolist() == [5, 1], env.kind
+        assert np.isfinite(p).all() and p[1] == 0.0, env.kind
+
+
+def test_tshc_run_logs_finite_scores_when_every_candidate_goes_non_finite(tmp_path):
+    # sigma_max = 1e308 makes every candidate's controls NaN, so each one
+    # crashes at its first step: the log holds pathlength 0, not the token
+    # NaN, which is not JSON
+    task_list = heading_grid(10, 30)
+    spec = MlpSpec((RECIPE_DIMS[task_list[0].feature_recipe], 8, 2))
+    cfg = TshcConfig(1, 3, 4, 20, sigma_mode="constant", sigma_max=1e308)
+    log = tmp_path / "log.jsonl"
+    with np.errstate(all="ignore"):
+        tshc_run(cfg, task_list, VehicleEnv(), spec,
+                 on_iteration=lambda record: append_log_record(log, record))
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    records = [json.loads(line, parse_constant=refuse)
+               for line in log.read_text().splitlines()]
+    assert [(r["pathlength"], r["reward"], r["crashed"]) for r in records] == \
+        [(0.0, -4.0, True)] * 3
 
 
 def _fold_cases():
