@@ -128,14 +128,6 @@ def _read_checkpoint(args):
     return doc, env, spec, replay
 
 
-def _check_fit(args, task_list, env, spec, theta):
-    """``ConfigError`` unless the checkpoint's policy fits ``task_list`` and its env."""
-    try:
-        trainer.check_fit(task_list, env, spec, theta)
-    except ValueError as exc:
-        raise ConfigError(f"{args.checkpoint}: {exc}") from None
-
-
 def _read_tasks(args, option):
     """The ``--tasks`` list, or None without ``option``; each of the two
     options needs the other."""
@@ -149,8 +141,14 @@ def _read_tasks(args, option):
     return artifacts.read_task_list(args.tasks)
 
 
-def _check_digest(args, doc, task_list):
-    if artifacts.task_digest(task_list) != doc["task_digest"]:
+def _check_checkpoint(args, doc, env, spec, fit_tasks, task_list):
+    """``ConfigError`` unless the checkpoint's policy fits ``fit_tasks`` and
+    its env, and then unless ``task_list``, if given, is its task list."""
+    try:
+        trainer.check_fit(fit_tasks, env, spec, doc["theta"])
+    except ValueError as exc:
+        raise ConfigError(f"{args.checkpoint}: {exc}") from None
+    if task_list is not None and artifacts.task_digest(task_list) != doc["task_digest"]:
         raise ConfigError(f"{args.tasks} is not the task list checkpoint "
                           f"{args.checkpoint} was trained on (task digests differ)")
 
@@ -189,9 +187,7 @@ def cmd_replay(args):
         goal = tasklib.mirror_goal(tup.z_goal) if args.mirror else tup.z_goal
         task = dataclasses.replace(replay, z_goal=goal)
 
-    _check_fit(args, [task], env, spec, doc["theta"])
-    if task_list is not None:
-        _check_digest(args, doc, task_list)
+    _check_checkpoint(args, doc, env, spec, [task], task_list)
 
     res = rollout(doc["theta"], task, env, spec, replay.t_max, replay.t_goal,
                   record=True, mirror=args.mirror)
@@ -214,8 +210,7 @@ def cmd_plot(args):
     task_list = _read_tasks(args, "--checkpoint")
     if task_list is not None:
         doc, env, spec, replay = _read_checkpoint(args)
-        _check_fit(args, task_list, env, spec, doc["theta"])
-        _check_digest(args, doc, task_list)
+        _check_checkpoint(args, doc, env, spec, task_list, task_list)
         # every task in one recorded rollout, a lane per task
         recorded = trainer.batch_rollout(doc["theta"], spec, task_list, env, replay.t_max,
                                          replay.t_goal, record=True)[5]

@@ -260,7 +260,7 @@ def _build_env(env_doc, vvc_doc, norm_doc):
 def _build_tasks(doc, env_kind):
     doc = dict(_mapping(doc, "tasks"))
     generator = doc.pop("generator", None)
-    if generator not in _GENERATORS:
+    if not isinstance(generator, str) or generator not in _GENERATORS:
         raise ConfigError(f"tasks.generator: unknown generator {generator!r}")
     build, kind, table = _GENERATORS[generator]
     if kind != env_kind:

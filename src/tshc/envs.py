@@ -9,16 +9,16 @@ goal coordinates in ``Task.z_goal`` order.  The lanes of one rollout are
 k * n + i runs task k with candidate i, so one rollout serves a whole task
 list.  Every method works for a batch of lanes in lockstep, and for one
 lane during replay; each row is contiguous, so a lane drops out of the
-batch with one column selection.  ``constants`` gathers the lanes' columns
-once per call: goal and tolerance columns (one per lane, whatever the
-number of tasks; the goal's only representation) and, for a
-constant-margin VVC, the control box near the goal.  What no lane varies,
-the feature-scale column and the vehicle's control bounds, an env builds
-once in ``__init__``; its params, limits and norm are fixed.  A step
-observes the state once, ``observe``: for the vehicle a (7, lanes)
-matrix, the goal difference (heading wrapped) in rows 0-3 and its errors
-(distance, |d_psi|, |d_v|) in rows 4-6; for the cart-pole its state
-itself.  The goal test, the features and the control
+batch with one column selection.  One call, ``start``, sets a rollout up:
+it repeats each task's start state, goal and tolerance columns over its n
+lanes (a column per lane, whatever the number of tasks; the goal's only
+representation) and, for a constant-margin VVC, builds the control box
+near the goal.  What no lane varies, the feature-scale column and the
+vehicle's control bounds, an env builds once in ``__init__``; its params,
+limits and norm are fixed.  A step observes the state once, ``observe``:
+for the vehicle a (7, lanes) matrix, the goal difference (heading wrapped)
+in rows 0-3 and its errors (distance, |d_psi|, |d_v|) in rows 4-6; for the
+cart-pole its state itself.  The goal test, the features and the control
 box with VVC all read it: the goal test is one comparison of the error
 rows with the tolerance columns, the features read the difference rows
 and the VVC reads the distance row, so a step forms each goal quantity
@@ -44,8 +44,8 @@ from .reward import VvcConfig
 
 @dataclass(frozen=True)
 class RolloutConstants:
-    """Per-call constants of a rollout over a task list in one environment:
-    the lanes' columns and the feature recipe they share.
+    """Constants of a rollout over a task list in one environment, built
+    by the env's ``start``: the lanes' columns and their feature recipe.
 
     ``goal`` and ``tol`` have a column per lane, the one representation of
     the goal that every step reads; ``tol`` holds eps_d, eps_psi and eps_v,
@@ -68,25 +68,23 @@ class RolloutConstants:
                                 tuple(edge[:, keep] for edge in self.near))
 
 
-def _constants(task_list, n):
+def _start(task_list, n, extra_rows):
+    """The (4 + extra_rows, lanes) start state, z0 with its heading wrapped
+    and zero extra rows, and the constants of the lanes (see ``start``)."""
     recipes = {task.feature_recipe for task in task_list}
     if len(recipes) != 1:
         raise ValueError(f"the tasks of one rollout must share a feature recipe, "
                          f"got {sorted(recipes)}")
+    S = np.array([task.z0 + (0.0,) * extra_rows for task in task_list]).T
+    S[2] = wrap_angle(S[2])
     goal = np.array([task.z_goal for task in task_list]).T
     tol = np.array([(t.tol.eps_d, t.tol.eps_psi, t.tol.eps_v) for t in task_list]).T
-    return RolloutConstants(recipes.pop(), np.repeat(goal, n, axis=1),
-                            np.repeat(tol, n, axis=1))
+    return np.repeat(S, n, axis=1), RolloutConstants(
+        recipes.pop(), np.repeat(goal, n, axis=1), np.repeat(tol, n, axis=1))
 
 
 # selects the v row of a (2, lanes) control box: a VVC narrows it only
 _V_ROW = np.array([[True], [False]])
-
-
-def _initial_state(task_list, extra_rows, n):
-    columns = np.array([task.z0 + (0.0,) * extra_rows for task in task_list]).T
-    columns[2] = wrap_angle(columns[2])
-    return np.repeat(columns, n, axis=1)
 
 
 class VehicleEnv:
@@ -105,26 +103,22 @@ class VehicleEnv:
         self.feature_scale = tasks.norm_column(norm)
         self.control_bounds = control_bounds(limits, params.Ts)
 
-    def constants(self, task_list, n):
-        """Constants of a rollout of n candidates on each task of the list."""
-        c = _constants(task_list, n)
-        if self.vvc.mode != reward.VVC_CONSTANT:
-            return c
-        # the constant-margin box is the same everywhere inside r_thresh
-        lim = self.limits
-        v_lo, v_hi = reward.vvc_bounds(0.0, c.goal[3], lim.v_min, lim.v_max, self.vvc)
-        lo, hi = self.control_bounds[:2]
-        return replace(c, near=(np.where(_V_ROW, v_lo, lo), np.where(_V_ROW, v_hi, hi)))
-
-    def init_arrays(self, task_list, n):
-        """(5, tasks * n) state: x, y, psi, v_prev, delta_prev.
+    def start(self, task_list, n):
+        """(5, tasks * n) state x, y, psi, v_prev, delta_prev and the
+        constants of a rollout of n candidates on each task of the list.
 
         A lane starts from its task's speed at the nearest admissible one,
         inside [v_min, v_max], so that the first rate box lies inside the
         actuator box; delta_prev starts at 0."""
-        S = _initial_state(task_list, 1, n)
-        np.minimum(np.maximum(S[3], self.limits.v_min), self.limits.v_max, out=S[3])
-        return S
+        S, c = _start(task_list, n, 1)
+        lim = self.limits
+        np.minimum(np.maximum(S[3], lim.v_min), lim.v_max, out=S[3])
+        if self.vvc.mode != reward.VVC_CONSTANT:
+            return S, c
+        # the constant-margin box is the same everywhere inside r_thresh
+        v_lo, v_hi = reward.vvc_bounds(0.0, c.goal[3], lim.v_min, lim.v_max, self.vvc)
+        lo, hi = self.control_bounds[:2]
+        return S, replace(c, near=(np.where(_V_ROW, v_lo, lo), np.where(_V_ROW, v_hi, hi)))
 
     def observe(self, S, c):
         """(7, lanes) observation of the state rows ``S``, read by the step:
@@ -172,13 +166,10 @@ class PendulumEnv:
         self.norm = norm
         self.feature_scale = tasks.norm_column(norm)
 
-    def constants(self, task_list, n):
-        """Constants of a rollout of n candidates on each task of the list."""
-        return _constants(task_list, n)
-
-    def init_arrays(self, task_list, n):
-        """(4, tasks * n) state: p, p_dot, theta, theta_dot."""
-        return _initial_state(task_list, 0, n)
+    def start(self, task_list, n):
+        """(4, tasks * n) state p, p_dot, theta, theta_dot and the constants
+        of a rollout of n candidates on each task of the list."""
+        return _start(task_list, n, 0)
 
     def observe(self, S, c):
         return S  # the goal test and the features read the state itself

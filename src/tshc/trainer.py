@@ -156,8 +156,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         thetas = np.tile(thetas, (len(task_list), 1))
     lanes = thetas.shape[0]
     layers = unflatten(thetas, spec)
-    consts = env.constants(task_list, n)
-    S = env.init_arrays(task_list, n)
+    S, consts = env.start(task_list, n)
     terminal = np.empty(S.shape)
     features = np.empty((lanes, tasklib.RECIPE_DIMS[task_list[0].feature_recipe]))
     # success window per lane
@@ -381,11 +380,9 @@ def adapt_sigma(sigma, n_new, n_old, beta, sigma_min, sigma_max):
 
 
 def draw_sigma(mode, rng, sigma_min, sigma_max):
-    if mode == SIGMA_CONSTANT:
-        return sigma_max
     if mode in (SIGMA_RANDOM_RESTART, SIGMA_RANDOM_ITER):
         return float(rng.uniform(sigma_min, sigma_max))
-    return sigma_max  # adaptive starts from the top of the range
+    return sigma_max  # constant, and adaptive starts from the top of the range
 
 
 def check_fit(task_list, env, spec: MlpSpec, theta=None):

@@ -200,13 +200,15 @@ training:
      "tasks: feature_recipe"),
     (GRID_YAML.replace("[5, 8, 2]", "[4, 8, 2]"), "policy.layer_sizes"),
     (PENDULUM_YAML.replace("[4, 8, 1]", "[4, 8, 2]"), "policy.layer_sizes"),
+    (TRIVIAL_YAML.replace("generator: freeform", "generator: [1]"), "tasks.generator"),
+    (TRIVIAL_YAML.replace("generator: freeform", "generator: {a: 1}"), "tasks.generator"),
 ], ids=["cart_mass", "pendulum_kind", "t_goal", "task_t_goal_zero", "tolerance",
         "feature_recipe", "grid_feature_recipe", "workspace_entry", "degenerate_workspace",
         "obstacles_scalar", "obstacle_entry", "limits", "refine_string",
         "fractional_candidates", "workers", "workers_zero", "negative_seed",
         "output_dir_list", "output_dir_int", "output_dir_mapping", "grid_inside_obstacle",
         "goal_outside_workspace", "pendulum_recipe_on_vehicle", "narrow_input",
-        "pendulum_two_outputs"])
+        "pendulum_two_outputs", "generator_list", "generator_mapping"])
 def test_train_invalid_config_value_exits_two(tmp_path, capsys, text, key):
     # a value the config builders reject is an error line that names its
     # key (the section, when the section's own check rejects it) and exit

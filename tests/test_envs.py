@@ -12,38 +12,57 @@ from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.plotting import render_svg
 from tshc.policy import MlpSpec, param_count
 from tshc.reward import VVC_SPATIAL, Tolerances, VvcConfig, vvc_bounds
-from tshc.tasks import GOAL5, VehicleNorm, freeform_task, pendulum_tasks
+from tshc.tasks import (GOAL5, PENDULUM, PENDULUM4, Task, VehicleNorm, freeform_task,
+                        pendulum_tasks)
 from tshc.trainer import rollout
 
 
 def goal_mask(env, S, task):
     """The goal test of one step from the state rows S on ``task``."""
-    k = env.constants([task], 1)
+    _, k = env.start([task], 1)
     return env.goal_mask(env.observe(S, k), k)
 
 
 def apply(env, S, raw, task):
     """One ``apply_arrays`` step from the state rows S on ``task``."""
-    k = env.constants([task], 1)
+    _, k = env.start([task], 1)
     return env.apply_arrays(S, np.asarray(raw), k, env.observe(S, k))
+
+
+def assert_task_major(S, c, task_list, n, z0):
+    """Lane k * n + i of a ``start`` holds ``z0[k]``, task k's start as the
+    env takes it, and task k's goal and tolerance columns."""
+    for k, task in enumerate(task_list):
+        lanes = slice(k * n, (k + 1) * n)
+        assert np.allclose(S[:4, lanes].T, z0[k], rtol=0.0, atol=1e-12)
+        assert np.all(c.goal[:, lanes].T == task.z_goal)
+        assert np.all(c.tol[:, lanes].T == (task.tol.eps_d, task.tol.eps_psi, task.tol.eps_v))
 
 
 def test_vehicle_init_arrays_normalizes_heading():
     env = VehicleEnv()
     task = freeform_task((0, 0, 3 * math.pi, 0), (1, 0, 0, 0))
-    S = env.init_arrays([task], 2)
+    S, _ = env.start([task], 2)
     assert S.shape == (5, 2) and S.flags.c_contiguous
     assert np.allclose(S[2], math.pi)
     assert np.all(S[4] == 0.0)  # delta_prev
+    # folded: a lane starts from its task's z0, heading wrapped and speed
+    # clipped into [v_min, v_max]
+    other = freeform_task((1, -2, -2.5 * math.pi, 12.0), (3, 4, 0.5, 2),
+                          Tolerances(0.5, 0.2, 1.5), task_id="b")
+    S, c = env.start([task, other], 3)
+    assert S.shape == (5, 6) and S.flags.c_contiguous
+    assert_task_major(S, c, [task, other], 3, [(0, 0, math.pi, 0), (1, -2, -math.pi / 2, 10.0)])
+    assert np.all(S[4] == 0.0)
 
 
 def test_vehicle_start_speed_is_the_nearest_admissible_one():
     # a task's start speed outside [v_min, v_max] starts at the nearer
     # bound; inside it, it is kept as it is
     tasks = [freeform_task((0, 0, 0, v), (5, 0, 0, 2)) for v in (0.0, 12.0, 3.0, -0.5)]
-    S = VehicleEnv(limits=ActuatorLimits(v_min=1.0)).init_arrays(tasks, 2)
+    S, _ = VehicleEnv(limits=ActuatorLimits(v_min=1.0)).start(tasks, 2)
     assert S[3].tolist() == [1.0, 1.0, 10.0, 10.0, 3.0, 3.0, 1.0, 1.0]
-    assert VehicleEnv().init_arrays(tasks, 1)[3].tolist() == [0.0, 10.0, 3.0, -0.5]
+    assert VehicleEnv().start(tasks, 1)[0][3].tolist() == [0.0, 10.0, 3.0, -0.5]
 
 
 def test_zero_policy_never_commands_below_v_min():
@@ -71,7 +90,7 @@ def test_vehicle_apply_uses_vvc_near_goal():
     vvc = VvcConfig(VVC_SPATIAL, r_thresh=5.0)
     env = VehicleEnv(vvc=vvc)
     task = freeform_task((0, 0, 0, 0), (0, 0, 0, 0))  # at the goal: v box = {0}
-    S = env.init_arrays([task], 1)
+    S, _ = env.start([task], 1)
     _, controls, _, _ = apply(env, S, [[1.0, 0.0]], task)
     assert controls[0, 0] == pytest.approx(0.0)  # full throttle still held at 0
 
@@ -86,7 +105,7 @@ def test_vehicle_apply_uses_vvc_near_goal():
 def test_vehicle_apply_reports_crash():
     env = VehicleEnv(params=VehicleParams(workspace=(-1.0, -1.0, 1.0, 1.0)))
     task = freeform_task((0.999, 0, 0, 10.0), (0, 0, 0, 0))
-    S = env.init_arrays([task], 1)
+    S, _ = env.start([task], 1)
     _, _, _, crash = apply(env, S, [[1.0, 0.0]], task)
     assert bool(crash[0])
 
@@ -98,12 +117,21 @@ def test_pendulum_goal_mask_angle_only():
     assert bool(goal_mask(env, S, task)[0])
     S[2, 0] = math.radians(13.0)
     assert not bool(goal_mask(env, S, task)[0])
+    # folded: a lane starts from its task's z0, heading wrapped, and its
+    # goal test reads its task's goal angle and eps_psi
+    tilted = Task("tilted", PENDULUM, (0.5, 0, 7.0, 0), (0, 0, 1.0, 0),
+                  Tolerances(1.0, 0.1, 1.0), PENDULUM4)
+    S, c = env.start([task, tilted], 2)
+    assert S.shape == (4, 4) and S.flags.c_contiguous
+    assert_task_major(S, c, [task, tilted], 2, [task.z0, (0.5, 0, 7.0 - 2 * math.pi, 0)])
+    S[2] = 0.95
+    assert env.goal_mask(env.observe(S, c), c).tolist() == [False, False, True, True]
 
 
 def test_pendulum_apply_scales_force_and_crashes_at_track_end():
     env = PendulumEnv(params=PendulumParams())
     task = pendulum_tasks("stabilize")[0]
-    S = env.init_arrays([task], 1)
+    S, _ = env.start([task], 1)
     _, controls, _, _ = apply(env, S, [[1.0]], task)
     assert controls.shape == (1, 1)
     assert controls[0, 0] == pytest.approx(10.0)  # raw +1 -> +F_max
@@ -120,7 +148,7 @@ def test_pendulum_force_bound_follows_replaced_params():
     assert base.arrays.f_max == 10.0
     env = PendulumEnv(dataclasses.replace(base, f_max=5.0))
     task = pendulum_tasks("stabilize")[0]
-    _, controls, _, _ = apply(env, env.init_arrays([task], 3), [[1.0], [-1.0], [0.0]], task)
+    _, controls, _, _ = apply(env, env.start([task], 3)[0], [[1.0], [-1.0], [0.0]], task)
     assert controls.tolist() == [[5.0, -5.0, 0.0]]
     spec = MlpSpec((4, 8, 1))
     theta = np.random.default_rng(0).normal(0.0, 30.0, param_count(spec))
@@ -214,7 +242,7 @@ def test_step_pieces_equal_textbook_formulas(case, monkeypatch):
     goal = np.array([t.z_goal for t in task_list for _ in range(n)]).T
     tol = np.array([(t.tol.eps_d, t.tol.eps_psi, t.tol.eps_v)
                     for t in task_list for _ in range(n)]).T
-    c = env.constants(task_list, n)
+    _, c = env.start(task_list, n)
     if case == "compacted":  # lanes of both tasks, reordered and thinned
         keep = np.array([0, 2, 3, 10, 13, 16, 17, 5])
         c, S, goal, tol = c.compact(keep), S[:, keep], goal[:, keep], tol[:, keep]

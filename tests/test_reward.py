@@ -22,7 +22,7 @@ def goal_flag(state, goal):
     """The goal test the trainer runs: VehicleEnv.goal_mask on one lane."""
     task = freeform_task((0.0, 0.0, 0.0, 0.0), goal, TOL)
     env = VehicleEnv()
-    k = env.constants([task], 1)
+    _, k = env.start([task], 1)
     return bool(env.goal_mask(env.observe(vehicle_state(*state), k), k)[0])
 
 
@@ -78,7 +78,7 @@ FAR_TASK = freeform_task((0.0, 0.0, 0.0, 0.0), (50.0, 0.0, 0.0, 0.0), TOL)
 
 def step_length(env, state, raw):
     """Step length of one VehicleEnv.apply_arrays step."""
-    S, k = vehicle_state(*state), env.constants([FAR_TASK], 1)
+    S, k = vehicle_state(*state), env.start([FAR_TASK], 1)[1]
     _, _, step, _ = env.apply_arrays(S, np.array([raw]), k, env.observe(S, k))
     return float(step[0])
 
@@ -97,7 +97,7 @@ def test_pathlength_triangle_inequality():
     rng = np.random.default_rng(0)
     S = vehicle_state(0.0, 0.0, 0.0, 0.0)
     total = 0.0
-    k = env.constants([FAR_TASK], 1)
+    _, k = env.start([FAR_TASK], 1)
     for raw in rng.uniform(-1.0, 1.0, size=(20, 2)):
         S, _, step, _ = env.apply_arrays(S, raw[None, :], k, env.observe(S, k))
         total += float(step[0])

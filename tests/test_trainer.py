@@ -171,7 +171,7 @@ def test_batch_rollout_compaction_is_lane_exact():
                     kind = _finish_kind(out[0][i], out[3][i], out[4][i])
                     # a lane stops where it met its goal or left the track
                     if kind.startswith("goal"):
-                        k = env.constants([task], 1)
+                        _, k = env.start([task], 1)
                         assert env.goal_mask(env.observe(end, k), k)[0]
                     elif kind == "crash":
                         assert not _on_track(env, end)
@@ -323,14 +323,11 @@ class ScriptedGoalEnv:
     def __init__(self, flags):
         self.flags = flags
 
-    def constants(self, task_list, n):
-        return self  # no per-lane columns
+    def start(self, task_list, n):
+        return np.zeros((1, len(task_list) * n)), self  # no per-lane columns
 
     def compact(self, keep):
         return self
-
-    def init_arrays(self, task_list, n):
-        return np.zeros((1, len(task_list) * n))
 
     def observe(self, S, c):
         return S
@@ -393,9 +390,9 @@ class NonFiniteLaneEnv(ScriptedGoalEnv):
         super().__init__(())
         self.lane, self.at, self.row, self.value = lane, at, row, value
 
-    def init_arrays(self, task_list, n):
+    def start(self, task_list, n):
         lanes = len(task_list) * n
-        return np.array([np.zeros(lanes), np.arange(lanes, dtype=float), np.zeros(lanes)])
+        return np.array([np.zeros(lanes), np.arange(lanes, dtype=float), np.zeros(lanes)]), self
 
     def goal_mask(self, obs, c):
         return np.zeros(obs.shape[1], dtype=bool)
