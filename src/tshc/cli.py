@@ -242,7 +242,7 @@ def build_parser():
     p_train.add_argument("config")
     p_train.add_argument("--workers", type=int, default=None,
                          help="candidate-evaluation processes "
-                              "(default: available parallelism)")
+                              "(default: the CPUs this process may run on)")
     p_train.add_argument("--output-dir", default=None)
 
     p_replay = sub.add_parser("replay", help="replay a checkpoint")

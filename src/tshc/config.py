@@ -281,13 +281,6 @@ def _check_vehicle_tasks(task_list, params: VehicleParams):
                           f"outside env.workspace or inside one of env.obstacles")
 
 
-def _available_cpus():
-    """The CPUs this process may run on, where the OS tells, else all."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _at_least(raw, low, path):
     """The int ``raw``, which must be at least ``low``."""
     value = load(raw, int, path)
@@ -338,11 +331,13 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
         raise ConfigError(f"policy.layer_sizes: {exc}") from None
     if env.kind == tasklib.VEHICLE:
         _check_vehicle_tasks(task_list, env.params)
-    config_workers = (_at_least(doc["workers"], 1, "config.workers") if "workers" in doc
-                      else _available_cpus())
-    workers = config_workers if workers is None else _at_least(workers, 1, "--workers")
+    pool = {}  # without either, TshcConfig's own default
+    if "workers" in doc:
+        pool["workers"] = _at_least(doc["workers"], 1, "config.workers")
+    if workers is not None:
+        pool["workers"] = _at_least(workers, 1, "--workers")
     training = _section(doc["training"], "training", TshcConfig, _TRAINING, seed=seed,
-                        workers=workers)
+                        **pool)
     config_dir = doc.get("output_dir")
     if config_dir is not None:
         load(config_dir, str, "config.output_dir")

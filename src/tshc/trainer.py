@@ -29,8 +29,9 @@ iteration and, for random-per-iter, at every one; without ``refine`` the
 first full solution ends the run.
 """
 
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import NamedTuple
 
@@ -49,6 +50,15 @@ SIGMA_MODES = (SIGMA_CONSTANT, SIGMA_RANDOM_RESTART, SIGMA_RANDOM_ITER, SIGMA_AD
 _SEED_INIT = 0
 _SEED_SIGMA = 1
 _SEED_PERTURB = 2
+# rows a recorded rollout allocates up front, unless its horizon needs fewer
+_RECORD_ROWS = 1024
+
+
+def _available_cpus():
+    """The CPUs this process may run on, where the OS tells, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,9 @@ class TshcConfig:
     sigma_mode: str = SIGMA_ADAPTIVE
     refine: bool = False
     seed: int = 0
-    workers: int = 1
+    # the only default of the pool size; a caller inside a daemonic process,
+    # which may not fork a pool, passes 1
+    workers: int = field(default_factory=_available_cpus)
 
     def __post_init__(self):
         if min(self.n_restarts, self.n_iter_max, self.n_candidates, self.t_max) < 1:
@@ -169,8 +181,9 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     stops = set(horizons)
     if record:
         # a step writes the row of each live lane in place: k pose columns,
-        # then the controls
-        rec = np.empty((T + 1, lanes, len(env.csv_columns) - 1))
+        # then the controls; the buffer doubles as the steps need it, so a
+        # huge horizon costs only the rows of the steps taken
+        rec = np.empty((min(T + 1, _RECORD_ROWS), lanes, len(env.csv_columns) - 1))
         k = rec.shape[2] - env.control_dim
     # the working arrays (S and its observation, layers, consts, last_raw,
     # run, path) hold the live lanes only, in slot order; ``live`` maps the
@@ -256,6 +269,8 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
             step[np.isnan(step)] = 0.0
         path -= step  # P is minus the distance travelled
         if record:
+            if t + 1 == rec.shape[0]:  # a lane that crashes now writes row t + 1
+                rec = np.concatenate((rec, np.empty_like(rec)))
             slots = live if moved else slice(live.size)
             rec[t, slots, :k] = S[:k].T
             rec[t, slots, k:] = controls.T

@@ -714,6 +714,26 @@ def test_malformed_artifact_value_exits_two(tmp_path, capsys, name, keys, value,
     assert not replays.exists()
 
 
+def test_huge_checkpoint_horizon_replays_the_steps_taken(tmp_path):
+    # a replay horizon of 10**30 steps is a valid int: a task that solves
+    # replays and plots as it does at the trained horizon, where a record
+    # buffer sized by the horizon raised "Maximum allowed dimension exceeded"
+    _, out = train(tmp_path, TRIVIAL_YAML)
+    ckpt, tasks = out / CHECKPOINT, str(out / TASKS)
+    outputs = {}
+    for horizon in ("trained", "huge"):
+        if horizon == "huge":
+            edit_checkpoint(ckpt, set_in(("replay", "t_max"), 10**30))
+        here = tmp_path / horizon
+        for argv in (["replay", str(ckpt), "--task", "freeform", "--tasks", tasks],
+                     ["replay", str(ckpt), "--setpoint", "0,0,0,0"]):
+            assert main(argv + ["--output-dir", str(here)]) == 0, (horizon, argv)
+        assert main(["plot", "--checkpoint", str(ckpt), "--tasks", tasks,
+                     "-o", str(here / "p.svg")]) == 0, horizon
+        outputs[horizon] = {p.name: p.read_bytes() for p in here.iterdir()}
+    assert len(outputs["huge"]) == 5 and outputs["huge"] == outputs["trained"]
+
+
 def test_json_that_is_not_an_object_exits_two(tmp_path, capsys):
     # a task file or checkpoint holding another JSON value, no JSON, or an
     # object that repeats a key (which JSON would collapse onto its last

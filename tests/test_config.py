@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tshc import artifacts
+from tshc import artifacts, cli
 from tshc.cli import main
 from tshc.config import ConfigError, env_from_config, load_run_config, parse_quantity
 from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.policy import param_count
 from tshc.reward import VVC_SPATIAL
+from tshc.trainer import BestSolution, TshcConfig
 
 VEHICLE_YAML = """
 seed: 7
@@ -225,13 +226,26 @@ def test_workers_override_wins(tmp_path):
 
 def test_workers_default_counts_the_cpus_the_process_may_use(tmp_path, monkeypatch):
     # a process pinned to one of eight CPUs gets one worker, not eight; an
-    # OS that cannot tell the affinity falls back to all CPUs
+    # OS that cannot tell the affinity falls back to all CPUs; a TshcConfig
+    # built without workers, a config without it and ``tshc train`` without
+    # --workers all take that one default
     path = write(tmp_path, VEHICLE_YAML)
+    trained = []
+
+    def capture(cfg, *args, **kwargs):
+        trained.append(cfg.workers)
+        return BestSolution(), []
+    monkeypatch.setattr(cli, "tshc_run", capture)
+
+    def counts():
+        assert main(["train", str(path), "--output-dir", str(tmp_path / "out")]) == 1  # unsolved
+        return (TshcConfig(n_restarts=1, n_iter_max=1, n_candidates=1, t_max=1).workers,
+                load_run_config(path).training.workers, trained.pop())
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert load_run_config(path).training.workers == 1
+    assert counts() == (1, 1, 1)
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert load_run_config(path).training.workers == 8
+    assert counts() == (8, 8, 8)
 
 
 def test_output_dir_defaults(tmp_path, monkeypatch):

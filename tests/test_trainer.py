@@ -516,6 +516,29 @@ def test_folded_lanes_match_single_task_rollouts(case):
     assert {"goal run", "timeout"} <= kinds
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_recorded_rows_do_not_depend_on_the_buffer_they_grow_in(monkeypatch, rows):
+    # the record buffer starts at min(horizon + 1, _RECORD_ROWS) rows and
+    # doubles as the steps need it: grown from one row or from three, every
+    # output and every recorded row keeps the bytes of a buffer that the
+    # horizon sized up front
+    from tshc import trainer
+    for name, env, task_list, t_max, mirrors in _fold_cases():
+        spec = MlpSpec((RECIPE_DIMS[task_list[0].feature_recipe], 6, env.control_dim))
+        thetas = np.random.default_rng(5).normal(0.0, 1.0, (8, param_count(spec)))
+        for mirror in mirrors:
+            sized = batch_rollout(thetas, spec, task_list, env, t_max, 1, record=True,
+                                  mirror=mirror)
+            with monkeypatch.context() as patch:
+                patch.setattr(trainer, "_RECORD_ROWS", rows)
+                grown = batch_rollout(thetas, spec, task_list, env, t_max, 1, record=True,
+                                      mirror=mirror)
+            for a, b in zip(sized[:5] + sized[6:], grown[:5] + grown[6:]):
+                assert a.tobytes() == b.tobytes(), name
+            assert [r.tobytes() for r in sized[5]] == [r.tobytes() for r in grown[5]], name
+            assert max(len(r) for r in sized[5]) > 2 * rows, name  # the buffer grew
+
+
 def test_evaluate_batch_matches_per_task_sum():
     # the folded fan-out adds each task's lanes in task order, the sum a
     # loop of one-task rollouts makes, for a chunk of one candidate too,
@@ -851,11 +874,13 @@ def test_tshc_run_worker_count_invariance():
     base = dict(n_restarts=1, n_iter_max=3, n_candidates=7, t_max=20,
                 sigma_mode="constant", sigma_max=20.0, seed=5)
     best_1, hist_1 = tshc_run(TshcConfig(**base, workers=1), [task], env, SPEC4)
-    best_3, hist_3 = tshc_run(TshcConfig(**base, workers=3), [task], env, SPEC4)
-    assert strip_wall_time(hist_1) == strip_wall_time(hist_3)
-    assert (best_1.theta is None) == (best_3.theta is None)
-    if best_1.theta is not None:
-        assert np.array_equal(best_1.theta, best_3.theta)
+    # with workers unset, the run uses every CPU the process may run on
+    for cfg in (TshcConfig(**base, workers=3), TshcConfig(**base)):
+        best, hist = tshc_run(cfg, [task], env, SPEC4)
+        assert strip_wall_time(hist_1) == strip_wall_time(hist)
+        assert (best_1.theta is None) == (best.theta is None)
+        if best_1.theta is not None:
+            assert np.array_equal(best_1.theta, best.theta)
 
 
 @pytest.mark.parametrize("workers, n_candidates, started", [(4, 2, [2]), (3, 1, [])])
