@@ -16,7 +16,8 @@ compute only the live lanes; its step count and path length are written
 when it leaves, and its reward is the sparse one, -1 per goal test.
 The working arrays hold the live lanes in slot order, which a retirement
 permutes: each survivor past the new lane count moves into the slot of a
-retired lane, so the weight stack copies only those survivors.  Every lane
+retired lane, so the rollout's own weight stack, one dense copy of each
+layer made at setup, copies only those survivors, in place.  Every lane
 is independent, so neither folding tasks, the slot order, dropping lanes
 nor splitting the fan-out across worker processes changes a bit: results
 are identical for any batch size, task grouping and worker count.  Candidate
@@ -159,15 +160,11 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         raise ValueError(f"t_max must be >= 1, got {t_max!r}")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
-    # a retirement moves weight slots in place, so the stack must be the
-    # rollout's own: a tiled one is, while one task's layers are views of
-    # the caller's thetas until the first retirement that moves a slot
-    # copies the survivors
-    tiled = len(task_list) > 1
-    if tiled:
-        thetas = np.tile(thetas, (len(task_list), 1))
-    lanes = thetas.shape[0]
-    layers = unflatten(thetas, spec)
+    lanes = n * len(task_list)
+    # a retirement moves weight slots in place, so the stack is the rollout's
+    # own: a dense copy of each layer per task (np.tile copies for one too)
+    layers = [(np.tile(w, (len(task_list), 1, 1)), np.tile(b, (len(task_list), 1)))
+              for w, b in unflatten(thetas, spec)]
     S, consts = env.start(task_list, n)
     terminal = np.empty(S.shape)
     features = np.empty((lanes, tasklib.RECIPE_DIMS[task_list[0].feature_recipe]))
@@ -222,16 +219,13 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         live = live[keep]
         S = S[:, keep]
         obs = obs[:, keep]
-        if holes.size and not (tiled or moved):
-            layers = [(w[keep], b[keep]) for w, b in layers]
-        else:
-            # only the movers' weights are copied; each layer is a view
-            if holes.size:
-                for w, b in layers:
-                    w[holes] = w[movers]
-                    b[holes] = b[movers]
-            layers = [(w[:m], b[:m]) for w, b in layers]
-        moved = moved or holes.size > 0
+        # only the movers' weights are copied; each layer is a view
+        if holes.size:
+            moved = True
+            for w, b in layers:
+                w[holes] = w[movers]
+                b[holes] = b[movers]
+        layers = [(w[:m], b[:m]) for w, b in layers]
         consts = consts.compact(keep)
         last_raw = last_raw[keep]
         run = run[keep]

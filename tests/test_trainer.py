@@ -212,15 +212,18 @@ def _wide_cases():
 
 def test_batch_rollout_leaves_thetas_unchanged():
     # a retirement moves weight slots inside the rollout's own stack, never
-    # inside the caller's thetas: one task, whose layers start as views of
-    # them, and a folded list, while lanes retire out of index order
+    # inside the caller's thetas, which may be read-only: one task and a
+    # folded list, while lanes retire out of index order
     env, task_list, spec, t_max, thetas = _wide_cases()
     thetas = thetas[::3]
+    frozen = thetas.copy()
+    frozen.setflags(write=False)
     before = thetas.tobytes()
-    for group in (task_list[1:2], task_list):
-        steps = batch_rollout(thetas, spec, group, env, t_max, 1, record=True)[4]
-        assert _retires_out_of_order(steps)
-        assert thetas.tobytes() == before
+    for rows in (thetas, frozen):
+        for group in (task_list[1:2], task_list):
+            steps = batch_rollout(rows, spec, group, env, t_max, 1, record=True)[4]
+            assert _retires_out_of_order(steps)
+            assert rows.tobytes() == before
 
 
 def test_slot_moves_are_lane_exact_on_a_wide_network():
