@@ -26,8 +26,9 @@ from . import tasks as tasklib
 from .dynamics import ActuatorLimits, PendulumParams, VehicleParams, crash_check_arrays
 from .envs import PendulumEnv, VehicleEnv
 from .policy import MlpSpec
-from .reward import Tolerances, VvcConfig
-from .trainer import TshcConfig, check_fit
+from .reward import VVC_OFF, VVC_SPATIAL, Tolerances, VvcConfig
+from .trainer import (SIGMA_CONSTANT, SIGMA_RANDOM_ITER, SIGMA_RANDOM_RESTART, TshcConfig,
+                      check_fit)
 
 DEFAULT_OUTPUT_ENV_VAR = "TSHC_OUTPUT_DIR"
 # keyed by the few section classes and task builders; read on every _section call
@@ -222,6 +223,10 @@ _POLICY = _same_names(layer_sizes=[int])
 _TRAINING = _same_names(
     n_restarts=int, n_iter_max=int, n_candidates=int, t_max=int, t_goal=int,
     sigma_mode=str, sigma_min="plain", sigma_max="plain", beta="plain", refine=bool)
+# mode key -> {mode: the keys of its section that the mode does not read}
+_UNREAD = {"mode": {VVC_OFF: ("r_thresh", "margin"), VVC_SPATIAL: ("margin",)},
+           "sigma_mode": {SIGMA_CONSTANT: ("sigma_min", "beta"),
+                          SIGMA_RANDOM_RESTART: ("beta",), SIGMA_RANDOM_ITER: ("beta",)}}
 
 
 @dataclass
@@ -281,6 +286,15 @@ def _check_vehicle_tasks(task_list, params: VehicleParams):
                           f"outside env.workspace or inside one of env.obstacles")
 
 
+def _refuse_unread(doc, path, mode_key, mode):
+    """Refuse a key of the config section ``doc`` that its mode does not
+    read, as it would take no effect.  Only a config is checked: a
+    checkpoint's env dict stores every ``VvcConfig`` field."""
+    for key in _UNREAD[mode_key].get(mode, ()):
+        if key in doc:
+            raise ConfigError(f"{path}.{key}: not read when {path}.{mode_key} is {mode!r}")
+
+
 def _at_least(raw, low, path):
     """The int ``raw``, which must be at least ``low``."""
     value = load(raw, int, path)
@@ -331,6 +345,7 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
         raise ConfigError(f"policy.layer_sizes: {exc}") from None
     if env.kind == tasklib.VEHICLE:
         _check_vehicle_tasks(task_list, env.params)
+        _refuse_unread(doc.get("vvc") or {}, "vvc", "mode", env.vvc.mode)
     pool = {}  # without either, TshcConfig's own default
     if "workers" in doc:
         pool["workers"] = _at_least(doc["workers"], 1, "config.workers")
@@ -338,6 +353,7 @@ def load_run_config(path, workers=None, output_dir=None) -> RunConfig:
         pool["workers"] = _at_least(workers, 1, "--workers")
     training = _section(doc["training"], "training", TshcConfig, _TRAINING, seed=seed,
                         **pool)
+    _refuse_unread(doc["training"], "training", "sigma_mode", training.sigma_mode)
     config_dir = doc.get("output_dir")
     if config_dir is not None:
         load(config_dir, str, "config.output_dir")

@@ -37,7 +37,7 @@ import numpy as np
 from . import dynamics, reward, tasks
 # apply_arrays calls control_intervals by this module's name, which perfbench wraps
 from .dynamics import (ActuatorLimits, PendulumParams, VehicleParams, control_bounds,
-                       control_intervals, wrap_angle)
+                       control_intervals, scalar_array, wrap_angle)
 from .policy import affine_scale
 from .reward import VvcConfig
 
@@ -102,6 +102,7 @@ class VehicleEnv:
         self.norm = norm
         self.feature_scale = tasks.norm_column(norm)
         self.control_bounds = control_bounds(limits, params.Ts)
+        self.r_thresh = scalar_array(vvc.r_thresh)  # 0-d, as a constant-margin step reads it
 
     def start(self, task_list, n):
         """(5, tasks * n) state x, y, psi, v_prev, delta_prev and the
@@ -139,7 +140,7 @@ class VehicleEnv:
         and crash flag of one step from ``S``, whose observation is ``obs``."""
         lo, hi, step_lo, step_hi = self.control_bounds
         if self.vvc.mode == reward.VVC_CONSTANT:
-            far = obs[4] >= self.vvc.arrays.r_thresh
+            far = obs[4] >= self.r_thresh
             lo, hi = np.where(far, lo, c.near[0]), np.where(far, hi, c.near[1])
         elif self.vvc.mode == reward.VVC_SPATIAL:
             lim = self.limits

@@ -7,11 +7,10 @@ stay portable.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .dynamics import scalar_arrays, wrap_angle
+from .dynamics import wrap_angle
 
 VVC_OFF = "off"
 VVC_SPATIAL = "spatial"
@@ -46,11 +45,6 @@ class VvcConfig:
             raise ValueError("r_thresh must be positive")
         if self.margin < 0.0:
             raise ValueError("margin must be non-negative")
-
-    @cached_property
-    def arrays(self):
-        """``r_thresh`` as a 0-d array, what a vehicle step compares with."""
-        return scalar_arrays(r_thresh=self.r_thresh)
 
 
 @dataclass(frozen=True)
@@ -87,20 +81,15 @@ def sparse_reward(crash_flag) -> Reward:
 
 def vvc_bounds(e_d, v_goal, v_min, v_max, cfg: VvcConfig):
     """Velocity box valid at distance e_d from the goal, inside the global
-    box [v_min, v_max]; elementwise over e_d and over v_goal, a goal speed
-    per lane or one for all lanes (the global speeds and the config are
-    scalars)."""
-    if cfg.mode == VVC_OFF:
-        shape = np.shape(e_d)
-        if shape:
-            return np.full(shape, float(v_min)), np.full(shape, float(v_max))
-        return float(v_min), float(v_max)
-    far = e_d >= cfg.r_thresh
+    box [v_min, v_max], as arrays broadcast over e_d and over v_goal, a goal
+    speed per lane or one for all lanes (the global speeds and the config
+    are scalars).  ``off`` is the mode whose far test holds everywhere."""
+    far = (e_d >= cfg.r_thresh) | (cfg.mode == VVC_OFF)
     if cfg.mode == VVC_SPATIAL:
         frac = np.minimum(e_d, cfg.r_thresh) / cfg.r_thresh
         lo_in = v_goal + (v_min - v_goal) * frac
         hi_in = v_goal + (v_max - v_goal) * frac
-    else:  # constant margin inside r_thresh
+    else:  # constant margin inside r_thresh; off discards it
         lo_in, hi_in = v_goal - cfg.margin, v_goal + cfg.margin
     # both edges are clipped to the global box, so a goal speed outside it
     # collapses the inner box onto the nearer global bound, and the control

@@ -86,7 +86,9 @@ class TshcConfig:
             raise ValueError("t_goal must be >= 1")
         if self.beta <= 1.0:
             raise ValueError("beta must be > 1")
-        if not 0.0 < self.sigma_min <= self.sigma_max:
+        # a constant sigma is sigma_max, whatever sigma_min
+        low = self.sigma_max if self.sigma_mode == SIGMA_CONSTANT else self.sigma_min
+        if not 0.0 < low <= self.sigma_max:
             raise ValueError("need 0 < sigma_min <= sigma_max")
         if self.sigma_mode not in SIGMA_MODES:
             raise ValueError(f"unknown sigma mode {self.sigma_mode!r}")

@@ -175,6 +175,57 @@ def test_rich_weights_is_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+_SPATIAL_VVC = "  mode: spatial\n  r_thresh: 5\n"
+_CONSTANT_SIGMA = "  sigma_mode: constant\n  sigma_max: 10\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (_SPATIAL_VVC, "  mode: 'off'\n  r_thresh: 5\n",
+     "vvc.r_thresh: not read when vvc.mode is 'off'"),
+    (_SPATIAL_VVC, "  mode: 'off'\n  margin: 1\n",
+     "vvc.margin: not read when vvc.mode is 'off'"),
+    (_SPATIAL_VVC, "  r_thresh: 5\n", "vvc.r_thresh: not read when vvc.mode is 'off'"),
+    (_SPATIAL_VVC, "  margin: 1\n", "vvc.margin: not read when vvc.mode is 'off'"),
+    (_SPATIAL_VVC, _SPATIAL_VVC + "  margin: 9\n",
+     "vvc.margin: not read when vvc.mode is 'spatial'"),
+    (_CONSTANT_SIGMA, _CONSTANT_SIGMA + "  beta: 3\n",
+     "training.beta: not read when training.sigma_mode is 'constant'"),
+    (_CONSTANT_SIGMA, "  sigma_mode: random-per-iter\n  sigma_max: 10\n  beta: 3\n",
+     "training.beta: not read when training.sigma_mode is 'random-per-iter'"),
+    (_CONSTANT_SIGMA, "  sigma_mode: random-per-restart\n  sigma_max: 10\n  beta: 3\n",
+     "training.beta: not read when training.sigma_mode is 'random-per-restart'"),
+    (_CONSTANT_SIGMA, _CONSTANT_SIGMA + "  sigma_min: 1\n",
+     "training.sigma_min: not read when training.sigma_mode is 'constant'"),
+], ids=["off_r_thresh", "off_margin", "no_mode_r_thresh", "no_mode_margin", "spatial_margin",
+        "constant_beta", "random_iter_beta", "random_restart_beta", "constant_sigma_min"])
+def test_keys_a_mode_does_not_read_are_errors(tmp_path, capsys, old, new, message):
+    # each of these trained as if the key were absent, and the checkpoint
+    # of a spatial run with margin 9 stored "margin": 9.0
+    assert VEHICLE_YAML.count(old) == 1
+    path = write(tmp_path, VEHICLE_YAML.replace(old, new))
+    with pytest.raises(SystemExit) as err:
+        main(["train", str(path), "--output-dir", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_keys_each_mode_reads_load(tmp_path):
+    # adaptive reads beta and sigma_min, a random draw reads sigma_min, a
+    # constant sigma may lie below sigma_min's default, and a checkpoint's
+    # env dict keeps every VVC field whatever its mode
+    for text in (PENDULUM_YAML.replace("  sigma_max: 10", "  sigma_max: 10\n  beta: 3\n"
+                                       "  sigma_min: 1"),
+                 VEHICLE_YAML.replace("  sigma_mode: constant",
+                                      "  sigma_mode: random-per-restart\n  sigma_min: 1"),
+                 VEHICLE_YAML.replace("  sigma_max: 10", "  sigma_max: 0.005")):
+        load_run_config(write(tmp_path, text))
+    run = load_run_config(write(tmp_path, VEHICLE_YAML.replace(_SPATIAL_VVC, "")))
+    assert run.env_config["vvc"] == {"mode": "off", "r_thresh": 5.0, "margin": 5.0 / 3.6}
+    env = env_from_config(dict(run.env_config, vvc=dict(run.env_config["vvc"], margin=9.0)))
+    assert env.vvc.margin == 9.0
+
+
 @pytest.mark.parametrize("base, old, new, key", [
     (VEHICLE_YAML, "  sampling_time: 0.1", "  sampling_time: .nan", "env.sampling_time"),
     (VEHICLE_YAML, "  sampling_time: 0.1", "  sampling_time: 0.1\n  wheelbase: .nan",

@@ -163,7 +163,7 @@ def test_vvc_bounds_vectorized():
     assert np.allclose(lo, [0.0, -5.0, -10.0, -10.0])
 
 
-@pytest.mark.parametrize("mode", [VVC_SPATIAL, VVC_CONSTANT])
+@pytest.mark.parametrize("mode", [VVC_OFF, VVC_SPATIAL, VVC_CONSTANT])
 def test_vvc_bounds_per_lane_goal_speed_matches_scalar(mode):
     # a folded rollout passes one goal speed per lane; each lane's box must
     # be the bits of the one-goal-speed call, the collapse cases included
@@ -175,6 +175,18 @@ def test_vvc_bounds_per_lane_goal_speed_matches_scalar(mode):
         one_lo, one_hi = vvc_bounds(e_d[i:i + 1], float(v_goal[i]), -10.0, 10.0, cfg)
         assert lo[i:i + 1].tobytes() == one_lo.tobytes()
         assert hi[i:i + 1].tobytes() == one_hi.tobytes()
+
+
+def test_vvc_off_is_the_actuator_box_per_lane():
+    # off is the mode whose far test holds everywhere: one formula, so a
+    # per-lane goal speed gives per-lane boxes even at one distance
+    v_goal = np.array([0.0, 9.5, -20.0])
+    lo, hi = vvc_bounds(0.3, v_goal, -10.0, 10.0, VvcConfig(VVC_OFF, margin=0.0))
+    assert lo.shape == hi.shape == (3,)
+    assert lo.tolist() == [-10.0] * 3 and hi.tolist() == [10.0] * 3
+    lo, hi = vvc_bounds(np.array([[0.0], [np.nan]]), v_goal, -10.0, 10.0, VvcConfig(VVC_OFF))
+    assert lo.shape == hi.shape == (2, 3)
+    assert (lo == -10.0).all() and (hi == 10.0).all()
 
 
 def test_vvc_config_validation():

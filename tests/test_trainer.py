@@ -49,6 +49,11 @@ def test_config_validation():
         TshcConfig(**ok, sigma_min=0.0)
     with pytest.raises(ValueError):
         TshcConfig(**ok, sigma_min=2.0, sigma_max=1.0)
+    # a constant sigma reads sigma_max only, so a config, which may not set
+    # sigma_min there, can still take one below sigma_min's default
+    TshcConfig(**ok, sigma_mode="constant", sigma_max=0.005)
+    with pytest.raises(ValueError):
+        TshcConfig(**ok, sigma_mode="constant", sigma_max=0.0)
     with pytest.raises(ValueError):
         TshcConfig(**ok, sigma_mode="sometimes")
     with pytest.raises(ValueError):
