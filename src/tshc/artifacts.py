@@ -127,21 +127,6 @@ def append_log_record(path, record):
         fh.write(json.dumps(dataclasses.asdict(record)) + "\n")
 
 
-def read_log(path):
-    """The records of a training log, one JSON object per line; a line that
-    is not JSON, or repeats a key, is a ``ConfigError`` that names the file
-    and the line."""
-    records = []
-    with open(path, "rb") as fh:
-        for i, line in enumerate(fh, 1):
-            try:
-                if line.strip():
-                    records.append(json.loads(line.decode(), object_pairs_hook=_unique_keys))
-            except ValueError as exc:  # not text, not JSON, a repeated key
-                raise ConfigError(f"{path}: line {i}: {exc}") from None
-    return records
-
-
 def write_trajectory_csv(path, columns, rows):
     """Rows of an int step and Python floats, as ``rollout`` records them."""
     row = "%d" + ",%r" * (len(columns) - 1)
@@ -184,7 +169,3 @@ def read_trajectory_csv(path):
 
 def write_summary(path, summary):
     atomic_write(path, json.dumps(summary, indent=2) + "\n")
-
-
-def read_summary(path):
-    return _read_object(path)

@@ -153,22 +153,13 @@ def _check_checkpoint(args, doc, env, spec, fit_tasks, task_list):
                           f"{args.checkpoint} was trained on (task digests differ)")
 
 
-def _check_mirror(args, env):
-    """``--mirror`` reflects through the x-axis, which the vehicle's steering
-    box maps onto itself only when its limits are symmetric."""
-    if env.kind != tasklib.VEHICLE:
-        raise ConfigError("--mirror is defined for vehicle checkpoints")
-    lim = env.limits
-    if lim.delta_min != -lim.delta_max or lim.deltadot_min != -lim.deltadot_max:
-        raise ConfigError(f"--mirror needs symmetric steering limits, but {args.checkpoint} "
-                          f"has steer [{lim.delta_min!r}, {lim.delta_max!r}] and steer_rate "
-                          f"[{lim.deltadot_min!r}, {lim.deltadot_max!r}]")
-
-
 def cmd_replay(args):
     doc, env, spec, replay = _read_checkpoint(args)
     if args.mirror:
-        _check_mirror(args, env)
+        try:
+            tasklib.check_mirror(env)
+        except ValueError as exc:
+            raise ConfigError(f"--mirror: {args.checkpoint}: {exc}") from None
     task_list = _read_tasks(args, "--task")
     if task_list is not None:
         matches = [t for t in task_list if t.id == args.task]

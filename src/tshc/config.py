@@ -16,6 +16,7 @@ import functools
 import inspect
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -187,6 +188,10 @@ _PENDULUM_NORM = _same_names(dp="length", dp_dot="speed", dtheta="angle",
 TOLERANCES = _Section(Tolerances, {"d": ("eps_d", "length"), "psi": ("eps_psi", "angle"),
                                    "v": ("eps_v", "speed")})
 _TOLERANCES = ("tol", TOLERANCES)
+# a cart-pole task's goal test reads its heading tolerance only: a config
+# gives psi, and d and v keep DEFAULT_PENDULUM_TOL's
+_PENDULUM_TOLERANCES = ("tol", _Section(Tolerances, {"psi": ("eps_psi", "angle")}, dict(
+    eps_d=tasklib.DEFAULT_PENDULUM_TOL.eps_d, eps_v=tasklib.DEFAULT_PENDULUM_TOL.eps_v)))
 _STATE = ("plain",) * 4  # a stored state or goal, in SI
 # an entry of a task file
 TASK = _Section(tasklib.Task, {
@@ -215,7 +220,7 @@ _GENERATORS = {
     "heading-grid": (tasklib.heading_grid, tasklib.VEHICLE, {
         "tolerances": _TOLERANCES, **_same_names(step_deg="plain", max_deg="plain")}),
     "pendulum": (tasklib.pendulum_tasks, tasklib.PENDULUM, {
-        "tolerances": _TOLERANCES, **_same_names(kind=str, t_goal=int)}),
+        "tolerances": _PENDULUM_TOLERANCES, **_same_names(kind=str, t_goal=int)}),
 }
 
 
@@ -304,12 +309,19 @@ def _at_least(raw, low, path):
 
 
 _YAML_MERGE = "tag:yaml.org,2002:merge"  # the tag of a '<<' key
+_YAML_BOOL = "tag:yaml.org,2002:bool"
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
     """``yaml.SafeLoader`` that refuses a key given twice in one mapping,
     which ``safe_load`` would collapse onto its last value without a word;
-    the entries that a ``<<`` merge key brings in may still be overridden."""
+    the entries that a ``<<`` merge key brings in may still be overridden.
+    Only YAML 1.2's booleans are booleans: 1.1's ``yes``, ``no``, ``on``
+    and ``off`` are strings, so ``mode: off`` is the mode ``"off"``."""
+
+    yaml_implicit_resolvers = {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag != _YAML_BOOL]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -321,6 +333,10 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                         None, None, f"found repeated key {key!r}", key_node.start_mark)
                 seen.add(key)
         return super().construct_mapping(node, deep)
+
+
+_UniqueKeyLoader.add_implicit_resolver(
+    _YAML_BOOL, re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), "tTfF")
 
 
 def load_run_config(path, workers=None, output_dir=None) -> RunConfig:

@@ -144,19 +144,11 @@ class PendulumState:
 
 
 def intersect_interval(lo, hi, other_lo, other_hi):
-    """Intersect [lo, hi] with [other_lo, other_hi] elementwise.
-
-    An empty intersection collapses to the point of [lo, hi] nearest the
-    other interval.
-    """
-    new_lo = np.maximum(lo, other_lo)
-    new_hi = np.minimum(hi, other_hi)
-    empty = new_lo > new_hi
-    if np.count_nonzero(empty):
-        nearest = np.where(hi < other_lo, hi, lo)
-        new_lo = np.where(empty, nearest, new_lo)
-        new_hi = np.where(empty, nearest, new_hi)
-    return new_lo, new_hi
+    """[other_lo, other_hi] clipped into [lo, hi] elementwise: their
+    intersection, or, where it is empty, the point of [lo, hi] nearest the
+    other interval."""
+    return (np.minimum(hi, np.maximum(lo, other_lo)),
+            np.maximum(lo, np.minimum(hi, other_hi)))
 
 
 def control_bounds(lim: ActuatorLimits, Ts):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import wrap_angle
+from .dynamics import intersect_interval, wrap_angle
 
 VVC_OFF = "off"
 VVC_SPATIAL = "spatial"
@@ -91,10 +91,8 @@ def vvc_bounds(e_d, v_goal, v_min, v_max, cfg: VvcConfig):
         hi_in = v_goal + (v_max - v_goal) * frac
     else:  # constant margin inside r_thresh; off discards it
         lo_in, hi_in = v_goal - cfg.margin, v_goal + cfg.margin
-    # both edges are clipped to the global box, so a goal speed outside it
-    # collapses the inner box onto the nearer global bound, and the control
-    # box is one intersection with the rate box.  Global bounds first: on a
-    # tie of -0.0 and 0.0, numpy's maximum and minimum return the second
-    lo_in = np.minimum(v_max, np.maximum(v_min, lo_in))
-    hi_in = np.minimum(v_max, np.maximum(v_min, hi_in))
+    # clipped into the global box, so a goal speed outside it collapses the
+    # inner box onto the nearer global bound, and the control box is one
+    # intersection with the rate box
+    lo_in, hi_in = intersect_interval(v_min, v_max, lo_in, hi_in)
     return np.where(far, v_min, lo_in), np.where(far, v_max, hi_in)

@@ -143,6 +143,19 @@ _MIRROR_FEATURES = {GOAL4: _signs(1.0, -1.0, -1.0, 1.0),
 _MIRROR_CONTROL = _signs(1.0, -1.0)
 
 
+def check_mirror(env):
+    """``ValueError`` unless mirroring reflects a rollout in ``env``: only a
+    vehicle's, through the x-axis, which maps its steering box onto itself
+    only when the steering limits are symmetric."""
+    if env.kind != VEHICLE:
+        raise ValueError(f"mirroring is defined for vehicle envs, not {env.kind} ones")
+    lim = env.limits
+    if lim.delta_min != -lim.delta_max or lim.deltadot_min != -lim.deltadot_max:
+        raise ValueError(f"mirroring needs symmetric steering limits, but the env has "
+                         f"steer [{lim.delta_min!r}, {lim.delta_max!r}] and steer_rate "
+                         f"[{lim.deltadot_min!r}, {lim.deltadot_max!r}]")
+
+
 def mirror_features(features, recipe: str):
     """Reflect vehicle features about the x-axis: negate the y and heading
     differences and, for the 5-feature recipe, the previous raw steering."""

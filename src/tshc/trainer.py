@@ -160,6 +160,8 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         raise ValueError(f"t_goal must be >= 1, got {t_goal!r}")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max!r}")
+    if mirror:
+        tasklib.check_mirror(env)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
     lanes = n * len(task_list)

@@ -59,11 +59,11 @@ def test_train_writes_all_artifacts_and_exit_zero(tmp_path):
     for name in ("tasks_seed3.json", "train_log_seed3.jsonl",
                  "checkpoint_seed3.json", "summary_seed3.json"):
         assert (out / name).exists(), name
-    summary = artifacts.read_summary(out / "summary_seed3.json")
+    summary = json.loads((out / "summary_seed3.json").read_text())
     assert summary["n_star"] == summary["n_tasks"] == 1
     assert summary["p_star"] == 0.0
     assert summary["seed"] == 3
-    log = artifacts.read_log(out / "train_log_seed3.jsonl")
+    log = (out / "train_log_seed3.jsonl").read_text().splitlines()
     assert len(log) == summary["iterations"]
     ckpt = artifacts.read_checkpoint(out / "checkpoint_seed3.json")
     assert ckpt["seed"] == 3
@@ -74,7 +74,7 @@ def test_train_writes_all_artifacts_and_exit_zero(tmp_path):
 def test_train_unsolved_run_exits_one(tmp_path):
     code, out = train(tmp_path, HARD_YAML)
     assert code == 1
-    summary = artifacts.read_summary(out / "summary_seed3.json")
+    summary = json.loads((out / "summary_seed3.json").read_text())
     assert summary["n_star"] == 0
     assert summary["restarts_with_full_solution"] == 0
 
@@ -93,7 +93,7 @@ def test_train_without_a_crash_free_candidate_removes_the_old_checkpoint(tmp_pat
     assert code == 0 and (out / "checkpoint_seed3.json").exists()
     code, out = train(tmp_path, CRASH_YAML)
     assert code == 1
-    assert artifacts.read_summary(out / "summary_seed3.json")["n_star"] == 0
+    assert json.loads((out / "summary_seed3.json").read_text())["n_star"] == 0
     assert not (out / "checkpoint_seed3.json").exists()
     with pytest.raises(SystemExit) as err:
         main(["replay", str(out / "checkpoint_seed3.json"), "--setpoint", "0,0,0,0",
@@ -254,7 +254,7 @@ def test_replay_task_produces_csv_and_summary(tmp_path):
     assert code == 0
     cols, rows = artifacts.read_trajectory_csv(out / "replay_freeform_seed3.csv")
     assert cols == ("t", "x", "y", "psi", "v", "delta")
-    meta = artifacts.read_summary(out / "replay_freeform_seed3.json")
+    meta = json.loads((out / "replay_freeform_seed3.json").read_text())
     assert meta["task"] == "freeform"
     assert meta["F"] == 1
     assert meta["mirror"] is False
@@ -284,10 +284,10 @@ def test_summary_scores_are_the_replay_scores(tmp_path):
           refine: true
         """)
     assert code == 0
-    summary = artifacts.read_summary(out / "summary_seed3.json")
+    summary = json.loads((out / "summary_seed3.json").read_text())
     assert main(["replay", str(out / "checkpoint_seed3.json"), "--task", "freeform",
                  "--tasks", str(out / "tasks_seed3.json"), "--output-dir", str(out)]) == 0
-    meta = artifacts.read_summary(out / "replay_freeform_seed3.json")
+    meta = json.loads((out / "replay_freeform_seed3.json").read_text())
     assert meta["F"] == 1 and meta["steps"] > 0
     assert (summary["p_star"], summary["j_star"]) == (meta["P"], meta["J"])
     assert meta["J"] == -(meta["steps"] + 1)
@@ -298,7 +298,7 @@ def test_replay_setpoint_uses_nearest_goal(tmp_path):
     code = main(["replay", str(out / "checkpoint_seed3.json"),
                  "--setpoint", "0.05,0,0,0", "--output-dir", str(out)])
     assert code == 0
-    meta = artifacts.read_summary(out / "replay_setpoint_seed3.json")
+    meta = json.loads((out / "replay_setpoint_seed3.json").read_text())
     assert meta["task"] == "setpoint"
 
 
@@ -590,9 +590,9 @@ def test_replay_task_mirror_replays_the_reflected_task(tmp_path):
     assert main(argv) == 0 and main(argv + ["--mirror"]) == 0
     _, plain = artifacts.read_trajectory_csv(out / "replay_heading20_seed3.csv")
     _, mirrored = artifacts.read_trajectory_csv(out / "replay_heading20-mirror_seed3.csv")
-    meta = artifacts.read_summary(out / "replay_heading20-mirror_seed3.json")
+    meta = json.loads((out / "replay_heading20-mirror_seed3.json").read_text())
     assert meta["task"] == "heading20~mirror" and meta["mirror"] is True
-    assert artifacts.read_summary(out / "replay_heading20_seed3.json")["mirror"] is False
+    assert json.loads((out / "replay_heading20_seed3.json").read_text())["mirror"] is False
     plain, mirrored = np.array(plain), np.array(mirrored)
     assert plain.shape == mirrored.shape and np.abs(plain[:, 2:4]).max() > 0.0
     flip = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])  # t, x, y, psi, v, delta

@@ -12,7 +12,8 @@ from tshc.cli import main
 from tshc.config import ConfigError, env_from_config, load_run_config, parse_quantity
 from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.policy import param_count
-from tshc.reward import VVC_SPATIAL
+from tshc.reward import VVC_OFF, VVC_SPATIAL, Tolerances
+from tshc.tasks import DEFAULT_PENDULUM_TOL
 from tshc.trainer import BestSolution, TshcConfig
 
 VEHICLE_YAML = """
@@ -224,6 +225,53 @@ def test_keys_each_mode_reads_load(tmp_path):
     assert run.env_config["vvc"] == {"mode": "off", "r_thresh": 5.0, "margin": 5.0 / 3.6}
     env = env_from_config(dict(run.env_config, vvc=dict(run.env_config["vvc"], margin=9.0)))
     assert env.vvc.margin == 9.0
+
+
+def test_a_bare_off_is_the_vvc_mode(tmp_path):
+    # YAML 1.1 read it as false, which the mode refused as not a str
+    run = load_run_config(write(tmp_path, VEHICLE_YAML.replace(_SPATIAL_VVC, "  mode: off\n")))
+    assert run.env.vvc.mode == VVC_OFF
+
+
+@pytest.mark.parametrize("word", ["yes", "no", "on", "off", "Yes", "OFF"])
+def test_yaml_1_1_booleans_are_strings(tmp_path, capsys, word):
+    # only true and false are booleans: refine: yes used to train with refine on
+    path = write(tmp_path, VEHICLE_YAML.replace("  sigma_max: 10\n",
+                                                f"  sigma_max: 10\n  refine: {word}\n"))
+    with pytest.raises(SystemExit) as err:
+        main(["train", str(path), "--output-dir", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"error: training.refine: expected bool, got {word!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _pendulum_tolerances(tolerances):
+    return PENDULUM_YAML.replace("  kind: swingup\n",
+                                 f"  kind: swingup\n  tolerances: {tolerances}\n")
+
+
+def test_pendulum_tolerances_read_psi_only(tmp_path):
+    # the cart-pole goal test reads the heading tolerance only, so d and v
+    # keep the defaults', and the default psi gives the task list's digest
+    # of a config without tolerances
+    run = load_run_config(write(tmp_path, _pendulum_tolerances('{psi: "20 deg"}')))
+    assert run.task_list[0].tol == Tolerances(
+        DEFAULT_PENDULUM_TOL.eps_d, math.radians(20.0), DEFAULT_PENDULUM_TOL.eps_v)
+    default = load_run_config(write(tmp_path, PENDULUM_YAML)).task_list
+    given = load_run_config(write(tmp_path, _pendulum_tolerances(
+        f"{{psi: {DEFAULT_PENDULUM_TOL.eps_psi!r}}}"))).task_list
+    assert artifacts.task_digest(given) == artifacts.task_digest(default)
+
+
+@pytest.mark.parametrize("key", ["d", "v"])
+def test_pendulum_tolerances_refuse_what_the_goal_test_does_not_read(tmp_path, capsys, key):
+    # both used to be required and took no effect
+    path = write(tmp_path, _pendulum_tolerances(f'{{psi: "12 deg", {key}: 1}}'))
+    with pytest.raises(SystemExit) as err:
+        main(["train", str(path), "--output-dir", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"error: tasks.tolerances.{key}: unknown key\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("base, old, new, key", [

@@ -10,6 +10,7 @@ from tshc.dynamics import (ActuatorLimits, Control, PendulumParams, PendulumStat
                            pendulum_accelerations, step_bicycle,
                            step_pendulum, wrap_angle)
 from tshc.envs import control_intervals
+from tshc.reward import VVC_CONSTANT, VVC_OFF, VVC_SPATIAL, VvcConfig, vvc_bounds
 from tshc.tasks import mirror_goal
 
 LIM = ActuatorLimits()
@@ -98,6 +99,72 @@ def test_intersect_interval_plain_and_empty():
     assert lo == hi == 1.0  # collapses to the endpoint nearest [2, 3]
     lo, hi = intersect_interval(0.0, 1.0, -3.0, -2.0)
     assert lo == hi == 0.0
+
+
+# the two clip formulas that ``intersect_interval`` replaced, as they were
+# written: the references its bits are pinned to
+
+def _intersect_before(lo, hi, other_lo, other_hi):
+    new_lo = np.maximum(lo, other_lo)
+    new_hi = np.minimum(hi, other_hi)
+    empty = new_lo > new_hi
+    if np.count_nonzero(empty):
+        nearest = np.where(hi < other_lo, hi, lo)
+        new_lo = np.where(empty, nearest, new_lo)
+        new_hi = np.where(empty, nearest, new_hi)
+    return new_lo, new_hi
+
+
+def _vvc_clip_before(v_min, v_max, lo_in, hi_in):
+    return (np.minimum(v_max, np.maximum(v_min, lo_in)),
+            np.minimum(v_max, np.maximum(v_min, hi_in)))
+
+
+def _vvc_bounds_before(e_d, v_goal, v_min, v_max, cfg):
+    far = (e_d >= cfg.r_thresh) | (cfg.mode == VVC_OFF)
+    if cfg.mode == VVC_SPATIAL:
+        frac = np.minimum(e_d, cfg.r_thresh) / cfg.r_thresh
+        lo_in = v_goal + (v_min - v_goal) * frac
+        hi_in = v_goal + (v_max - v_goal) * frac
+    else:
+        lo_in, hi_in = v_goal - cfg.margin, v_goal + cfg.margin
+    lo_in, hi_in = _vvc_clip_before(v_min, v_max, lo_in, hi_in)
+    return np.where(far, v_min, lo_in), np.where(far, v_max, hi_in)
+
+
+_EDGES = (-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf)
+# every box of the edges: signed-zero ties, degenerate boxes and ±inf
+_BOXES = [(lo, hi) for lo in _EDGES for hi in _EDGES if lo <= hi]
+# the other box also lies on either side of a box, or is a NaN distance's
+_OTHERS = _BOXES + [(math.nan, math.nan)]
+
+
+def _bits(pair):
+    return np.array(pair).tobytes()
+
+
+@pytest.mark.parametrize("reference", [_intersect_before, _vvc_clip_before])
+def test_intersect_interval_keeps_the_bits_of_the_clips_it_replaced(reference):
+    cases = np.array([box + other for box in _BOXES for other in _OTHERS]).T
+    for case in cases.T:
+        args = [np.float64(v) for v in case]
+        assert _bits(intersect_interval(*args)) == _bits(reference(*args)), args
+    # a lane per case: the empty lanes do not change the others' bits
+    assert _bits(intersect_interval(*cases)) == _bits(reference(*cases))
+
+
+@pytest.mark.parametrize("mode", [VVC_OFF, VVC_SPATIAL, VVC_CONSTANT])
+@pytest.mark.parametrize("margin", [0.0, 2.0])
+def test_vvc_bounds_keeps_the_bits_of_its_own_clip(mode, margin):
+    cfg = VvcConfig(mode, r_thresh=5.0, margin=margin)
+    e_d, v_goal = (a.ravel() for a in np.meshgrid(
+        [0.0, 1.0, 2.5, 5.0, 9.0, math.inf, math.nan],
+        _EDGES + (-20.0, -10.0, 0.5, 9.5, 20.0)))
+    for v_min, v_max in _BOXES:
+        v_min, v_max = np.float64(v_min), np.float64(v_max)
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN in both
+            assert (_bits(vvc_bounds(e_d, v_goal, v_min, v_max, cfg))
+                    == _bits(_vvc_bounds_before(e_d, v_goal, v_min, v_max, cfg)))
 
 
 # -------------------------------------------------------------- step_bicycle

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tshc.artifacts import append_log_record
-from tshc.dynamics import PendulumParams, VehicleParams
+from tshc.dynamics import ActuatorLimits, PendulumParams, VehicleParams
 from tshc.envs import PendulumEnv, VehicleEnv
 from tshc.policy import MlpSpec, init_params, param_count
 from tshc.reward import VVC_CONSTANT, VVC_SPATIAL, Tolerances, VvcConfig
@@ -585,6 +585,26 @@ def test_mirror_rollout_is_exact_reflection():
         assert abs(ra[3] + rb[3]) < 1e-9        # psi negated
         assert abs(ra[4] - rb[4]) < 1e-9        # v equal
         assert abs(ra[5] + rb[5]) < 1e-9        # steering negated
+
+
+def test_mirror_rollout_is_refused_for_pendulum():
+    # it raised KeyError: 'pendulum4'
+    spec = MlpSpec((4, 8, 1))
+    with pytest.raises(ValueError, match="vehicle"):
+        rollout(np.zeros(param_count(spec)), pendulum_tasks("swingup")[0], PendulumEnv(),
+                spec, 10, mirror=True)
+
+
+@pytest.mark.parametrize("limits", [dict(delta_min=-math.radians(20.0)),
+                                    dict(deltadot_max=math.radians(50.0))],
+                         ids=["steer", "steer_rate"])
+def test_mirror_rollout_needs_symmetric_steering(limits):
+    # with steer in (-20, 40) deg the mirrored rollout strayed from the
+    # reflection without an error
+    env = VehicleEnv(limits=ActuatorLimits(**limits))
+    with pytest.raises(ValueError, match="symmetric steering"):
+        rollout(np.zeros(param_count(SPEC5)), heading_grid(10, 90)[3], env, SPEC5, 300,
+                mirror=True)
 
 
 # ------------------------------------------------------ one-candidate scores
