@@ -10,7 +10,7 @@ columns are built once per rollout, in the same layout for one task as
 for many.  Every lane leaves inside the step loop, by one retirement per
 cause: at its task's horizon (tested first, so no lane is goal-tested at
 its horizon), at a complete goal run, or after a step that crashed it or
-made its state non-finite (a crash; a step to a NaN pose has length 0).
+made its state non-finite (a crash; a step to such a state has length 0).
 A retired lane is dropped from the working arrays at once, so later steps
 compute only the live lanes; its step count and path length are written
 when it leaves, and its reward is the sparse one, -1 per goal test.
@@ -51,8 +51,6 @@ SIGMA_MODES = (SIGMA_CONSTANT, SIGMA_RANDOM_RESTART, SIGMA_RANDOM_ITER, SIGMA_AD
 _SEED_INIT = 0
 _SEED_SIGMA = 1
 _SEED_PERTURB = 2
-# rows a recorded rollout allocates up front, unless its horizon needs fewer
-_RECORD_ROWS = 1024
 
 
 def _available_cpus():
@@ -180,19 +178,13 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     T = max(horizons)
     lane_horizon = np.repeat(horizons, n)
     stops = set(horizons)
-    if record:
-        # a step writes the row of each live lane in place: k pose columns,
-        # then the controls; the buffer doubles as the steps need it, so a
-        # huge horizon costs only the rows of the steps taken
-        rec = np.empty((min(T + 1, _RECORD_ROWS), lanes, len(env.csv_columns) - 1))
-        k = rec.shape[2] - env.control_dim
     # the working arrays (S and its observation, layers, consts, last_raw,
     # run, path) hold the live lanes only, in slot order; ``live`` maps the
     # slots to their lanes, and a lane's results are written when it retires
     live = np.arange(lanes)
-    # until a retirement moves a slot, ``live`` is arange(live.size), and a
-    # recorded step writes its rows through a slice, not an index array
-    moved = False
+    # a recorded step keeps (live, S, controls) by reference: a step builds
+    # a new S and controls, and a retirement rebinds live
+    recorded = []
     last_raw = np.zeros(lanes)
     run = np.zeros(lanes, dtype=np.int64)
     path = np.zeros(lanes)
@@ -203,16 +195,13 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
 
     def retire(gone, n_steps, outcome=None):
         # drops the lanes ``gone``, flagged in ``outcome``; True once none is left
-        nonlocal live, moved, S, obs, layers, consts, last_raw, run, path
+        nonlocal live, S, obs, layers, consts, last_raw, run, path
         rows = live[gone]
         if outcome is not None:
             outcome[rows] = True
         terminal[:, rows] = S[:, gone]
         steps[rows] = n_steps
         P[rows] = path[gone]
-        if record:
-            rec[n_steps, rows, :k] = S[:k, gone].T
-            rec[n_steps, rows, k:] = rec[n_steps - 1, rows, k:] if n_steps else 0.0
         # the m survivors take slots [0, m): one past m moves into the slot
         # of a lane retired before m, and the others stay where they are
         m = live.size - np.count_nonzero(gone)
@@ -225,7 +214,6 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         obs = obs[:, keep]
         # only the movers' weights are copied; each layer is a view
         if holes.size:
-            moved = True
             for w, b in layers:
                 w[holes] = w[movers]
                 b[holes] = b[movers]
@@ -260,18 +248,14 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
         if mirror:
             raw = tasklib.mirror_control(raw)
         S_next, controls, step, crash = env.apply_arrays(S, raw, consts, obs)
-        # a NaN control makes the pose NaN; the per-lane test runs only
-        # when some lane is not finite, and a step to a NaN pose has length 0
+        # a NaN control or an overflow makes the pose non-finite; the per-lane
+        # test runs only then, and such a step has length 0
         if not np.isfinite(S_next).all():
             crash |= ~np.isfinite(S_next).all(0)
-            step[np.isnan(step)] = 0.0
+            step[~np.isfinite(step)] = 0.0
         path -= step  # P is minus the distance travelled
         if record:
-            if t + 1 == rec.shape[0]:  # a lane that crashes now writes row t + 1
-                rec = np.concatenate((rec, np.empty_like(rec)))
-            slots = live if moved else slice(live.size)
-            rec[t, slots, :k] = S[:k].T
-            rec[t, slots, k:] = controls.T
+            recorded.append((live, S, controls))
         S = S_next
         last_raw = raw[:, -1]
         if np.count_nonzero(crash) and retire(crash, t + 1, crashed):
@@ -279,8 +263,18 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
     # the sparse reward is -1 per goal test: one per step, plus the test
     # that found a lane's goal run
     J = (-(steps + success)).astype(float)
-    trajectories = ([rec[:m + 1, lane] for lane, m in enumerate(steps.tolist())]
-                    if record else None)
+    trajectories = None
+    if record:
+        # each lane's rows are its steps in order, then its terminal pose with
+        # the last controls (zeros if it never stepped): k pose columns, then
+        # the controls
+        k = len(env.csv_columns) - 1 - env.control_dim
+        recorded.append((np.arange(lanes), terminal, np.zeros((env.control_dim, lanes))))
+        lane, state, controls = (np.concatenate(f, axis=-1) for f in zip(*recorded))
+        rows = np.concatenate((state[:k], controls)).T[np.argsort(lane, kind="stable")]
+        ends = np.cumsum(steps + 1)
+        rows[ends[steps > 0] - 1, k:] = rows[ends[steps > 0] - 2, k:]
+        trajectories = np.split(rows, ends[:-1])
     return success, P, J, crashed, steps, trajectories, terminal
 
 

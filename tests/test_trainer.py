@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -439,24 +440,28 @@ def test_batch_rollout_retires_a_non_finite_lane_as_crashed():
 
 
 def test_tshc_run_logs_finite_scores_when_every_candidate_goes_non_finite(tmp_path):
-    # sigma_max = 1e308 makes every candidate's controls NaN, so each one
-    # crashes at its first step: the log holds pathlength 0, not the token
-    # NaN, which is not JSON
+    # sigma_max = 1e308 makes every candidate's controls NaN; a speed box of
+    # +-1e308 with Ts = 2 makes Ts * v overflow under a constant sigma of 10.
+    # Either way each candidate crashes at its first step: the log holds
+    # pathlength 0, not the token NaN or -Infinity, which are not JSON
     task_list = heading_grid(10, 30)
     spec = MlpSpec((RECIPE_DIMS[task_list[0].feature_recipe], 8, 2))
-    cfg = TshcConfig(1, 3, 4, 20, sigma_mode="constant", sigma_max=1e308)
-    log = tmp_path / "log.jsonl"
-    with np.errstate(all="ignore"):
-        tshc_run(cfg, task_list, VehicleEnv(), spec,
-                 on_iteration=lambda record: append_log_record(log, record))
+    huge = ActuatorLimits(v_min=-1e308, v_max=1e308, vdot_min=-1e308, vdot_max=1e308)
 
     def refuse(token):
         raise ValueError(f"{token} is not JSON")
 
-    records = [json.loads(line, parse_constant=refuse)
-               for line in log.read_text().splitlines()]
-    assert [(r["pathlength"], r["reward"], r["crashed"]) for r in records] == \
-        [(0.0, -4.0, True)] * 3
+    for env, sigma_max in [(VehicleEnv(), 1e308),
+                           (VehicleEnv(VehicleParams(Ts=2.0), huge), 10.0)]:
+        cfg = TshcConfig(1, 3, 4, 20, sigma_mode="constant", sigma_max=sigma_max)
+        log = tmp_path / f"log{sigma_max}.jsonl"
+        with np.errstate(all="ignore"):
+            tshc_run(cfg, task_list, env, spec,
+                     on_iteration=lambda record: append_log_record(log, record))
+        records = [json.loads(line, parse_constant=refuse)
+                   for line in log.read_text().splitlines()]
+        assert [(r["pathlength"], r["reward"], r["crashed"]) for r in records] == \
+            [(0.0, -4.0, True)] * 3, sigma_max
 
 
 def _fold_cases():
@@ -497,9 +502,9 @@ def _fold_cases():
 def test_folded_lanes_match_single_task_rollouts(case):
     # lanes are (task, candidate) pairs; each must equal its task rolled out
     # alone on one lane, bit for bit: the five outputs, the terminal column
-    # and the recorded trajectory, pose and controls; a recorded step writes
-    # through slices until a retirement first moves a slot and by lane index
-    # after it, and both happen inside each run
+    # and the recorded trajectory, pose and controls; each run has steps
+    # both before and after a retirement first moves a slot, so recorded
+    # rows are read back in lane order whatever slot a lane held
     _, env, task_list, t_max, mirrors = next(c for c in _fold_cases() if c[0] == case)
     spec = MlpSpec((RECIPE_DIMS[task_list[0].feature_recipe], 6, env.control_dim))
     rng = np.random.default_rng(5)
@@ -524,27 +529,41 @@ def test_folded_lanes_match_single_task_rollouts(case):
     assert {"goal run", "timeout"} <= kinds
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-def test_recorded_rows_do_not_depend_on_the_buffer_they_grow_in(monkeypatch, rows):
-    # the record buffer starts at min(horizon + 1, _RECORD_ROWS) rows and
-    # doubles as the steps need it: grown from one row or from three, every
-    # output and every recorded row keeps the bytes of a buffer that the
-    # horizon sized up front
-    from tshc import trainer
+def test_recorded_fold_keeps_a_lane_whose_goal_holds_at_the_start():
+    # the goal of the first task holds at t = 0, so its lanes retire before
+    # any step and survivors move into their slots; the other lanes step,
+    # and some crash after that move.  Every lane's outputs and rows equal
+    # its one-lane recording, and a lane that never stepped records one row,
+    # its terminal pose with zero controls
     for name, env, task_list, t_max, mirrors in _fold_cases():
+        z0 = task_list[0].z0
+        task_list = [replace(task_list[0], id="at-goal", z_goal=z0, t_goal=1), *task_list]
         spec = MlpSpec((RECIPE_DIMS[task_list[0].feature_recipe], 6, env.control_dim))
-        thetas = np.random.default_rng(5).normal(0.0, 1.0, (8, param_count(spec)))
+        rng = np.random.default_rng(8)
+        n = 6
+        thetas = rng.normal(0.0, 1.0, (n, param_count(spec))) * np.geomspace(0.1, 30.0, n)[:, None]
         for mirror in mirrors:
-            sized = batch_rollout(thetas, spec, task_list, env, t_max, 1, record=True,
-                                  mirror=mirror)
-            with monkeypatch.context() as patch:
-                patch.setattr(trainer, "_RECORD_ROWS", rows)
-                grown = batch_rollout(thetas, spec, task_list, env, t_max, 1, record=True,
-                                      mirror=mirror)
-            for a, b in zip(sized[:5] + sized[6:], grown[:5] + grown[6:]):
-                assert a.tobytes() == b.tobytes(), name
-            assert [r.tobytes() for r in sized[5]] == [r.tobytes() for r in grown[5]], name
-            assert max(len(r) for r in sized[5]) > 2 * rows, name  # the buffer grew
+            out = batch_rollout(thetas, spec, task_list, env, t_max, 1, record=True,
+                                mirror=mirror)
+            assert _first_slot_move(out[4]) == 0, name
+            kinds = set()
+            for k, task in enumerate(task_list):
+                for i in range(n):
+                    lane = k * n + i
+                    one = batch_rollout(thetas[i], spec, [task], env, t_max, 1,
+                                        record=True, mirror=mirror)
+                    for a, b in zip(out[:5], one[:5]):
+                        assert a[lane:lane + 1].tobytes() == b.tobytes(), (name, task.id, i)
+                    assert out[6][:, lane:lane + 1].tobytes() == one[6].tobytes()
+                    assert out[5][lane].tobytes() == one[5][0].tobytes(), (name, task.id, i)
+                    kinds.add(_finish_kind(out[0][lane], out[3][lane], out[4][lane]))
+            assert {"goal at t=0", "crash"} <= kinds, name
+            pose = len(env.csv_columns) - 1 - env.control_dim
+            for lane in range(n):
+                rows = out[5][lane]
+                assert rows.shape == (1, len(env.csv_columns) - 1)
+                assert rows[0, :pose].tobytes() == out[6][:pose, lane].tobytes()
+                assert not rows[0, pose:].any()
 
 
 def test_evaluate_batch_matches_per_task_sum():
