@@ -21,6 +21,8 @@ import re
 import sys
 import time
 
+import numpy as np
+
 from . import artifacts, plotting, trainer
 from . import tasks as tasklib
 from .config import (REPLAY, REPLAY_RECIPES, ConfigError, DEFAULT_OUTPUT_ENV_VAR,
@@ -153,6 +155,17 @@ def _check_checkpoint(args, doc, env, spec, fit_tasks, task_list):
                           f"{args.checkpoint} was trained on (task digests differ)")
 
 
+def _refuse_non_finite(args, task, crashed, rows):
+    """``ConfigError`` if ``rows``, the recorded trajectory of ``task`` with a
+    row per step, holds a non-finite value; a step to a non-finite state is
+    a crash, so only a crashed lane's rows are searched."""
+    if crashed:
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise ConfigError(f"{args.checkpoint}: task {task.id!r}: the recorded "
+                              f"trajectory leaves the finite range at step {bad[0]}")
+
+
 def cmd_replay(args):
     doc, env, spec, replay = _read_checkpoint(args)
     if args.mirror:
@@ -182,6 +195,7 @@ def cmd_replay(args):
 
     res = rollout(doc["theta"], task, env, spec, replay.t_max, replay.t_goal,
                   record=True, mirror=args.mirror)
+    _refuse_non_finite(args, task, res.crashed, res.trajectory)
     out = args.output_dir or os.environ.get(DEFAULT_OUTPUT_ENV_VAR, ".")
     base = os.path.join(out, f"replay_{_slug(task.id)}_seed{doc['seed']}")
     artifacts.write_trajectory_csv(base + ".csv", env.csv_columns, res.trajectory)
@@ -203,9 +217,10 @@ def cmd_plot(args):
         doc, env, spec, replay = _read_checkpoint(args)
         _check_checkpoint(args, doc, env, spec, task_list, task_list)
         # every task in one recorded rollout, a lane per task
-        recorded = trainer.batch_rollout(doc["theta"], spec, task_list, env, replay.t_max,
-                                         replay.t_goal, record=True)[5]
-        for task, rows in zip(task_list, recorded):
+        _, _, _, crashed, _, recorded, _ = trainer.batch_rollout(
+            doc["theta"], spec, task_list, env, replay.t_max, replay.t_goal, record=True)
+        for task, lane_crashed, rows in zip(task_list, crashed, recorded):
+            _refuse_non_finite(args, task, lane_crashed, rows)
             trajectories.append((task.id, rows[:, 0].tolist(), rows[:, 1].tolist()))
             goals.append((task.z_goal[0], task.z_goal[1]))
     for path in args.inputs:

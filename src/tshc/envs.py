@@ -131,9 +131,9 @@ class VehicleEnv:
     def goal_mask(self, obs, c):
         return np.logical_and.reduce(obs[4:] < c.tol, axis=0)
 
-    def features_arrays(self, obs, c, last_raw, out=None):
+    def features_arrays(self, obs, c, last_raw):
         steer = last_raw if c.recipe == tasks.GOAL5 else None
-        return tasks.vehicle_features(obs[:4], self.feature_scale, steer, out)
+        return tasks.vehicle_features(obs[:4], self.feature_scale, steer)
 
     def apply_arrays(self, S, raw, c, obs):
         """Next state, applied controls (its v and delta rows), step length
@@ -179,8 +179,8 @@ class PendulumEnv:
         # stabilization succeeds on the pole angle alone
         return np.abs(wrap_angle(obs[2] - c.goal[2])) < c.tol[1]
 
-    def features_arrays(self, obs, c, last_raw, out=None):
-        return tasks.pendulum_features(obs, self.feature_scale, out)
+    def features_arrays(self, obs, c, last_raw):
+        return tasks.pendulum_features(obs, self.feature_scale)
 
     def apply_arrays(self, S, raw, c, obs):
         """Next state, applied force as a (1, lanes) row, step length of the

@@ -104,27 +104,24 @@ def norm_column(norm):
     return np.array([[v] for v in dataclasses.astuple(norm)])
 
 
-def vehicle_features(d, scale, last_raw_steer=None, out=None):
+def vehicle_features(d, scale, last_raw_steer=None):
     """Normalized goal differences, one row per lane.
 
     ``d`` is a goal difference of ``reward.goal_difference`` (its heading
     row wrapped) and ``scale`` a (4, 1) column.  With ``last_raw_steer``
-    the previous raw steering output is the fifth column.  Writes to
-    ``out``, a (lanes, 4 or 5) array, when given.
+    the previous raw steering output is a fifth column.
     """
-    if out is None:
-        out = np.empty((d.shape[1], 4 if last_raw_steer is None else 5))
+    out = np.empty((d.shape[1], 4 if last_raw_steer is None else 5))
     np.divide(d, scale, out=out.T[:4])
     if last_raw_steer is not None:
         out[:, 4] = last_raw_steer
     return out
 
 
-def pendulum_features(z, scale, out=None):
+def pendulum_features(z, scale):
     """Normalized (p, p_dot, theta, theta_dot) of the state rows ``z``, one
-    row per lane; writes to ``out`` when given."""
-    if out is None:
-        out = np.empty(z.shape[::-1])
+    row per lane."""
+    out = np.empty(z.shape[::-1])
     np.divide(z, scale, out=out.T)
     return out
 

@@ -138,6 +138,9 @@ class IterationRecord:
     wall_time: float
 
 
+# a step that overflows or makes a NaN is a crash of length 0 (the non-finite
+# rule in the loop), so numpy's warnings for it say nothing
+@np.errstate(over="ignore", invalid="ignore")
 def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
                   record=False, mirror=False):
     """Simulate every task of ``task_list`` for a batch of n parameter
@@ -169,7 +172,6 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
               for w, b in unflatten(thetas, spec)]
     S, consts = env.start(task_list, n)
     terminal = np.empty(S.shape)
-    features = np.empty((lanes, tasklib.RECIPE_DIMS[task_list[0].feature_recipe]))
     # success window per lane
     goal_run = np.repeat([task.t_goal or t_goal for task in task_list], n)
     # a lane times out at its task's horizon; the loop runs to the longest,
@@ -241,7 +243,7 @@ def batch_rollout(thetas, spec: MlpSpec, task_list, env, t_max, t_goal,
                 break
         else:
             run.fill(0)
-        feats = env.features_arrays(obs, consts, last_raw, features[:live.size])
+        feats = env.features_arrays(obs, consts, last_raw)
         if mirror:
             feats = tasklib.mirror_features(feats, consts.recipe)
         raw = forward_layers(layers, feats)

@@ -734,6 +734,33 @@ def test_huge_checkpoint_horizon_replays_the_steps_taken(tmp_path):
     assert len(outputs["huge"]) == 5 and outputs["huge"] == outputs["trained"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_replay_and_plot_refuse_a_trajectory_that_leaves_the_finite_range(tmp_path, capsys):
+    # with Ts = 3 and a speed box of +-1e308, the first step's Ts * v
+    # overflows to x = inf and y = NaN: replay and plot exit 2 with one error
+    # line naming the checkpoint, the task and the step, write nothing and
+    # print no numpy warning
+    _, out = train(tmp_path, HARD_YAML)
+    ckpt, tasks, replays = out / CHECKPOINT, str(out / TASKS), tmp_path / "replays"
+
+    def overflow(doc):
+        doc["env"].update(sampling_time=3)
+        doc["env"]["limits"].update(v=[-1e308, 1e308], v_rate=[-1e308, 1e308])
+        doc["theta"] = [1.0] * len(doc["theta"])
+    edit_checkpoint(ckpt, overflow)
+    for argv in (["replay", str(ckpt), "--task", "freeform", "--tasks", tasks,
+                  "--output-dir", str(replays)],
+                 ["plot", "--checkpoint", str(ckpt), "--tasks", tasks,
+                  "-o", str(replays / "p.svg")]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (f"error: {ckpt}: task 'freeform': the recorded "
+                                           "trajectory leaves the finite range at step 1\n")
+    assert not replays.exists()
+
+
 def test_json_that_is_not_an_object_exits_two(tmp_path, capsys):
     # a task file or checkpoint holding another JSON value, no JSON, or an
     # object that repeats a key (which JSON would collapse onto its last

@@ -70,21 +70,21 @@ def test_feature_heading_difference_wraps():
     assert f[0, 2] == pytest.approx(math.radians(-20) / math.pi)
 
 
-def test_features_fill_the_given_buffer_lane_by_lane():
-    # lanes are rows of the (lanes, k) result; a preallocated buffer is
-    # written in place and matches a fresh result bit for bit
+def test_features_are_rows_computed_lane_by_lane():
+    # lanes are rows of a C-ordered (lanes, k) result, and each row has the
+    # bits of that lane's one-lane result
     t = heading_grid(10, 90)[3]
     rng = np.random.default_rng(1)
     z = rng.normal(0.0, 2.0, (4, 3))
     goal, scale = column(*t.z_goal), norm_column(VehicleNorm())
     last = rng.uniform(-1.0, 1.0, 3)
-    out = np.empty((3, 5))
-    d = goal_difference(z, goal)
-    assert vehicle_features(d, scale, last, out) is out
+    f = vehicle_features(goal_difference(z, goal), scale, last)
+    assert f.shape == (3, 5) and f.flags.c_contiguous
     for i in range(3):
         one = vehicle_features(goal_difference(z[:, i:i + 1], goal), scale, last[i:i + 1])
-        assert out[i:i + 1].tobytes() == one.tobytes()
-    p = pendulum_features(z, norm_column(PendulumNorm()), np.empty((3, 4)))
+        assert f[i:i + 1].tobytes() == one.tobytes()
+    p = pendulum_features(z, norm_column(PendulumNorm()))
+    assert p.flags.c_contiguous
     assert p.tolist() == (z / norm_column(PendulumNorm())).T.tolist()
 
 

@@ -345,7 +345,7 @@ class ScriptedGoalEnv:
         t = int(obs[0, 0])
         return np.full(obs.shape[1], t < len(self.flags) and self.flags[t] == 1)
 
-    def features_arrays(self, obs, c, last_raw, out=None):
+    def features_arrays(self, obs, c, last_raw):
         return np.zeros((obs.shape[1], 1))
 
     def apply_arrays(self, S, raw, c, obs):
@@ -433,8 +433,7 @@ def test_batch_rollout_retires_a_non_finite_lane_as_crashed():
         spec = MlpSpec((RECIPE_DIMS[task.feature_recipe], 3, env.control_dim))
         thetas = np.zeros((2, param_count(spec)))
         thetas[1, 0] = np.nan
-        with np.errstate(invalid="ignore"):
-            _, p, _, crashed, steps, _, _ = batch_rollout(thetas, spec, [task], env, 5, 1)
+        _, p, _, crashed, steps, _, _ = batch_rollout(thetas, spec, [task], env, 5, 1)
         assert crashed.tolist() == [False, True] and steps.tolist() == [5, 1], env.kind
         assert np.isfinite(p).all() and p[1] == 0.0, env.kind
 
